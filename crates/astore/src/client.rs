@@ -10,9 +10,12 @@
 //!   written in parallel; *every* replica must acknowledge (§IV-B "Write").
 //! * [`AStoreClient::read`] — a one-sided READ from any online replica.
 //!
-//! Route hygiene (§IV-C): routes are cached and re-validated against the CM
-//! when older than `refresh_period`, which the deployment guarantees is much
-//! shorter than the servers' stale-segment cleanup delay.
+//! Route hygiene (§IV-C): routes are cached, and once they are older than
+//! `refresh_period` the whole cache is revalidated with one batched CM call
+//! in the background, off the data path. An operation waits for the CM only
+//! for an uncached segment or a route older than 2×`refresh_period` (an idle
+//! client); the deployment keeps that bound well below the servers'
+//! stale-segment cleanup delay.
 //!
 //! ## Fault recovery
 //!
@@ -356,66 +359,79 @@ impl AStoreClient {
         Ok(())
     }
 
-    /// Refresh the cached route for `seg` if it is older than the refresh
-    /// period (§IV-C: "the AStore Client regularly checks with the CM to
-    /// see if the segment's route has changed").
-    fn maybe_refresh_route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
-        let stale = {
-            let routes = self.routes.lock();
-            match routes.get(&seg) {
-                Some(c) => ctx.now().saturating_sub(c.fetched_at) > self.refresh_period,
-                None => true,
+    /// The route to use for `seg` now (§IV-C: "the AStore Client regularly
+    /// checks with the CM to see if the segment's route has changed").
+    ///
+    /// A cached route younger than `refresh_period` is used as is. Once it
+    /// is older, the whole cache is revalidated with one batched CM call on
+    /// a forked context, off the caller's critical path, while the caller
+    /// goes on with the route it has. The caller waits for the CM only for
+    /// an uncached segment, or when the route is older than twice the
+    /// period (an idle client); the servers' cleanup delay must exceed that
+    /// bound, so a route in use never points at a reused slot.
+    fn route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
+        let cached = self
+            .routes
+            .lock()
+            .get(&seg)
+            .map(|c| (c.route.clone(), ctx.now().saturating_sub(c.fetched_at)));
+        match cached {
+            Some((route, age)) if age <= self.refresh_period => Ok(route),
+            Some((route, age)) if age <= self.refresh_period * 2 => {
+                self.revalidate(&mut ctx.fork(), None);
+                Ok(route)
             }
-        };
-        if stale {
-            let route = self.cm.get_route(ctx, seg)?;
-            self.routes.lock().insert(
-                seg,
-                CachedRoute {
-                    route: route.clone(),
-                    fetched_at: ctx.now(),
-                },
-            );
-            Ok(route)
-        } else {
-            Ok(self.routes.lock().get(&seg).expect("cached").route.clone())
+            _ => self.resolve(ctx, seg),
         }
+    }
+
+    /// Revalidate the cache and `seg` synchronously; the route of `seg`.
+    fn resolve(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
+        self.revalidate(ctx, Some(seg));
+        self.cached_route(seg)
+            .ok_or(AStoreError::UnknownSegment(seg))
     }
 
     /// Re-resolve a route from the CM unconditionally (recovery path).
     fn force_refresh_route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
-        let route = self.cm.get_route(ctx, seg)?;
-        self.routes.lock().insert(
-            seg,
-            CachedRoute {
-                route: route.clone(),
-                fetched_at: ctx.now(),
-            },
-        );
+        let route = self.resolve(ctx, seg)?;
         self.counters.note_route_refresh();
         Ok(route)
     }
 
-    /// Force-refresh all cached routes (background task).
+    /// Revalidate every cached route, in one CM round trip.
     pub fn refresh_all_routes(&self, ctx: &mut SimCtx) {
-        let segs: Vec<SegmentId> = self.routes.lock().keys().copied().collect();
-        for seg in segs {
-            match self.cm.get_route(ctx, seg) {
-                Ok(route) => {
-                    self.routes.lock().insert(
-                        seg,
-                        CachedRoute {
-                            route,
-                            fetched_at: ctx.now(),
-                        },
-                    );
+        self.revalidate(ctx, None);
+    }
+
+    /// Fetch the routes of every cached segment plus `extra` with one
+    /// batched CM call and install them. Segments the CM no longer routes
+    /// (deleted, or lost with every replica) leave the cache.
+    fn revalidate(&self, ctx: &mut SimCtx, extra: Option<SegmentId>) {
+        let mut segs: Vec<SegmentId> = self.routes.lock().keys().copied().chain(extra).collect();
+        segs.sort_unstable();
+        segs.dedup();
+        let routes = self.lookup_routes(ctx, &segs);
+        let fetched_at = ctx.now();
+        let mut cache = self.routes.lock();
+        for (seg, route) in segs.into_iter().zip(routes) {
+            match route {
+                Some(route) => {
+                    cache.insert(seg, CachedRoute { route, fetched_at });
                 }
-                Err(_) => {
-                    // Route is gone: the segment was deleted or fully lost.
-                    self.routes.lock().remove(&seg);
+                None => {
+                    cache.remove(&seg);
                 }
             }
         }
+    }
+
+    /// [`ClusterManager::get_routes`] under an `astore/cm_rpc` span.
+    fn lookup_routes(&self, ctx: &mut SimCtx, segs: &[SegmentId]) -> Vec<Option<Route>> {
+        let sp = self.stats.trace.span(ctx, "astore", "cm_rpc");
+        let routes = self.cm.get_routes(ctx, segs);
+        sp.finish(ctx);
+        routes
     }
 
     /// Renew the client lease (periodic background task).
@@ -561,7 +577,7 @@ impl AStoreClient {
         handle: SegmentHandle,
         writes: &[(u64, &[u8])],
     ) -> Result<()> {
-        let mut route = self.maybe_refresh_route(ctx, handle.id)?;
+        let mut route = self.route(ctx, handle.id)?;
         let mut unreachable = Vec::new();
         let mut retry = 0u32;
         loop {
@@ -778,7 +794,7 @@ impl AStoreClient {
         let sp = self.stats.trace.span(ctx, "astore", "read");
         let mut retry = 0u32;
         loop {
-            let route = self.maybe_refresh_route(ctx, handle.id)?;
+            let route = self.route(ctx, handle.id)?;
             {
                 let segs = self.segs.lock();
                 if let Some(meta) = segs.get(&handle.id) {
@@ -828,7 +844,7 @@ impl AStoreClient {
     /// Reads every reachable replica and takes the maximum — a replica
     /// re-replicated mid-history may hold an older io-meta.
     pub fn recover_used_len(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<u64> {
-        let route = self.maybe_refresh_route(ctx, seg)?;
+        let route = self.route(ctx, seg)?;
         let mut best: Option<u64> = None;
         for loc in &route.replicas {
             let (mr, server) = match self.node_conn(loc.node) {
@@ -852,32 +868,49 @@ impl AStoreClient {
         seg: SegmentId,
         class: SegmentClass,
     ) -> Result<SegmentHandle> {
-        let route = self.cm.get_route(ctx, seg)?;
-        let capacity = route
-            .replicas
-            .iter()
-            .filter_map(|loc| self.node_conn(loc.node).ok())
-            .map(|(_, s)| s.slot_size())
-            .min()
-            .unwrap_or(0);
-        self.routes.lock().insert(
-            seg,
-            CachedRoute {
-                route,
-                fetched_at: ctx.now(),
-            },
-        );
-        let handle = SegmentHandle { id: seg, class };
-        let len = self.recover_used_len(ctx, seg)?;
-        self.segs.lock().insert(
-            seg,
-            SegMeta {
-                len,
-                capacity,
-                frozen: false,
-            },
-        );
-        Ok(handle)
+        self.adopt_segments(ctx, &[seg], class)
+            .pop()
+            .unwrap_or(Err(AStoreError::UnknownSegment(seg)))
+    }
+
+    /// Adopt many segments at once: one CM round trip resolves every route,
+    /// then each segment's effective length is recovered from its io-meta.
+    /// The result is aligned with `segs`; a segment without a route fails
+    /// with [`AStoreError::UnknownSegment`].
+    pub fn adopt_segments(
+        &self,
+        ctx: &mut SimCtx,
+        segs: &[SegmentId],
+        class: SegmentClass,
+    ) -> Vec<Result<SegmentHandle>> {
+        let routes = self.lookup_routes(ctx, segs);
+        let fetched_at = ctx.now();
+        segs.iter()
+            .zip(routes)
+            .map(|(&seg, route)| {
+                let route = route.ok_or(AStoreError::UnknownSegment(seg))?;
+                let capacity = route
+                    .replicas
+                    .iter()
+                    .filter_map(|loc| self.node_conn(loc.node).ok())
+                    .map(|(_, s)| s.slot_size())
+                    .min()
+                    .unwrap_or(0);
+                self.routes
+                    .lock()
+                    .insert(seg, CachedRoute { route, fetched_at });
+                let len = self.recover_used_len(ctx, seg)?;
+                self.segs.lock().insert(
+                    seg,
+                    SegMeta {
+                        len,
+                        capacity,
+                        frozen: false,
+                    },
+                );
+                Ok(SegmentHandle { id: seg, class })
+            })
+            .collect()
     }
 
     /// The current route of a segment, if cached (engine push-down uses the

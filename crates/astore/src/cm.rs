@@ -12,7 +12,7 @@
 //! milliseconds"), modelled as RPC round-trips plus a fixed CM processing
 //! delay.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -57,7 +57,9 @@ struct NodeInfo {
 }
 
 struct CmState {
-    nodes: HashMap<NodeId, NodeInfo>,
+    /// Ordered by node id, so every walk over the fleet (placement ties,
+    /// repair targets, [`ClusterManager::live_servers`]) is reproducible.
+    nodes: BTreeMap<NodeId, NodeInfo>,
     routes: HashMap<SegmentId, Route>,
     next_segment: SegmentId,
     /// client id -> (current epoch, lease expiry)
@@ -114,7 +116,7 @@ impl ClusterManager {
             lease_ttl,
             heartbeat_timeout,
             state: Mutex::new(CmState {
-                nodes: HashMap::new(),
+                nodes: BTreeMap::new(),
                 routes: HashMap::new(),
                 next_segment: 1,
                 leases: HashMap::new(),
@@ -170,7 +172,7 @@ impl ClusterManager {
             .map(|n| Arc::clone(&n.server))
     }
 
-    /// All currently-alive servers.
+    /// All currently-alive servers, in node-id order.
     pub fn live_servers(&self) -> Vec<Arc<AStoreServer>> {
         self.state
             .lock()
@@ -343,17 +345,23 @@ impl ClusterManager {
         Ok(())
     }
 
-    /// Fetch a segment's current route (clients poll this on a short
-    /// period; cost is one CM round trip).
+    /// Fetch a segment's current route: one CM round trip.
     pub fn get_route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
+        self.get_routes(ctx, &[seg])
+            .pop()
+            .flatten()
+            .ok_or(AStoreError::UnknownSegment(seg))
+    }
+
+    /// Fetch the current routes of many segments in **one** CM round trip
+    /// (clients revalidate their whole route cache this way, §IV-C). The
+    /// result is aligned with `segs`; `None` marks a segment that has no
+    /// route any more (deleted, or lost with every replica).
+    pub fn get_routes(&self, ctx: &mut SimCtx, segs: &[SegmentId]) -> Vec<Option<Route>> {
         ctx.advance(CM_PROC);
         self.metrics.lock().route_lookups.inc();
-        self.state
-            .lock()
-            .routes
-            .get(&seg)
-            .cloned()
-            .ok_or(AStoreError::UnknownSegment(seg))
+        let st = self.state.lock();
+        segs.iter().map(|seg| st.routes.get(seg).cloned()).collect()
     }
 
     /// Route version without charging time (driver-internal fast path for
@@ -764,6 +772,35 @@ mod tests {
             assert!(s.hosts_segment(seg));
             assert_eq!(s.pending_cleanup_len(), 1);
         }
+    }
+
+    #[test]
+    fn get_routes_resolves_many_segments_in_one_round_trip() {
+        let (_env, cm, _servers) = cluster();
+        let mut ctx = SimCtx::new(1, 7);
+        let lease = cm.acquire_lease(&mut ctx, 1);
+        let segs: Vec<SegmentId> = (0..3)
+            .map(|_| {
+                cm.create_segment(&mut ctx, lease, SegmentClass::Ebp, 1)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        cm.delete_segment(&mut ctx, lease, segs[1]).unwrap();
+        let lookups = cm.metrics().counter("astore", "cm_route_lookups");
+        let (before, t0) = (lookups.get(), ctx.now());
+        let routes = cm.get_routes(&mut ctx, &[segs[0], segs[1], segs[2], 999]);
+        assert_eq!(ctx.now() - t0, CM_PROC, "one CM round trip");
+        assert_eq!(lookups.get() - before, 1);
+        let found: Vec<bool> = routes.iter().map(Option::is_some).collect();
+        assert_eq!(found, [true, false, true, false]);
+    }
+
+    #[test]
+    fn live_servers_come_in_node_order() {
+        let (_env, cm, _servers) = cluster();
+        let nodes: Vec<NodeId> = cm.live_servers().iter().map(|s| s.node()).collect();
+        assert_eq!(nodes, [0, 1, 2]);
     }
 
     #[test]

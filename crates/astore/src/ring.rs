@@ -447,17 +447,18 @@ impl SegmentRing {
         Ok((out_start.unwrap_or(next_lsn), out))
     }
 
-    /// Recover a ring after a DBEngine crash: adopt the segments, read all
-    /// headers, binary-search for the newest slot, and recover the end of
-    /// log from the newest segment's io-meta (§V-A, §V-E).
+    /// Recover a ring after a DBEngine crash: adopt the segments (one
+    /// batched CM route lookup), read all headers, binary-search for the
+    /// newest slot, and recover the end of log from the newest segment's
+    /// io-meta (§V-A, §V-E).
     pub fn recover(
         ctx: &mut SimCtx,
         client: Arc<AStoreClient>,
         segment_ids: &[SegmentId],
     ) -> Result<Self> {
         let mut slots = Vec::with_capacity(segment_ids.len());
-        for &id in segment_ids {
-            let handle = client.adopt_segment(ctx, id, SegmentClass::Log)?;
+        for handle in client.adopt_segments(ctx, segment_ids, SegmentClass::Log) {
+            let handle = handle?;
             let used = client.segment_len(handle);
             let (status, start_lsn) = if used >= RING_HDR_SIZE {
                 let hdr = client.read(ctx, handle, 0, RING_HDR_SIZE as usize)?;

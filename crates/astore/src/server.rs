@@ -11,10 +11,11 @@
 //! Stale-segment hygiene (§IV-C): when the CM asks the server to clean a
 //! segment, the server does **not** free the slot immediately — it enqueues
 //! it and frees it only after `cleanup_delay` of virtual time has passed.
-//! Clients refresh their routes on a much shorter period, so no client can
-//! still be holding a one-sided route to a slot when it gets reused.
+//! Clients use a cached route for at most twice their refresh period
+//! before revalidating it, which is much shorter, so no client can still be
+//! holding a one-sided route to a slot when it gets reused.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -348,20 +349,28 @@ impl AStoreServer {
         self.page_lsns.lock().len()
     }
 
-    /// EBP recovery scan (§V-E): walk every EBP segment's records, drop
+    /// EBP recovery scan (§V-E): walk every live EBP segment's records, drop
     /// images older than the freshest known LSN for that page, and return
-    /// the newest valid image per page with its position.
+    /// the newest valid image per page with its position, in page order.
+    /// Segments queued for cleanup are skipped: they were deleted (after
+    /// compaction moved their live images elsewhere) and have no route.
+    /// Segments are walked in id order, so among equal-LSN copies the one
+    /// in the lowest segment id wins on every run.
     pub fn ebp_recovery_scan(&self, ctx: &mut SimCtx) -> Vec<EbpScanEntry> {
         let slots: Vec<(SegmentId, usize)> = {
             let st = self.state.lock();
-            st.segments
+            let deleted: HashSet<SegmentId> = st.pending_cleanup.iter().map(|(s, _)| *s).collect();
+            let mut slots: Vec<(SegmentId, usize)> = st
+                .segments
                 .iter()
-                .filter(|(_, (_, class))| *class == SegmentClass::Ebp)
+                .filter(|(id, (_, class))| *class == SegmentClass::Ebp && !deleted.contains(id))
                 .map(|(id, (slot, _))| (*id, *slot))
-                .collect()
+                .collect();
+            slots.sort_unstable();
+            slots
         };
         let lsn_map = self.page_lsns.lock().clone();
-        let mut best: HashMap<PageId, EbpScanEntry> = HashMap::new();
+        let mut best: BTreeMap<PageId, EbpScanEntry> = BTreeMap::new();
         let mut scanned_bytes = 0usize;
         for (seg, slot) in slots {
             let base = self.geo.slot_offset(slot);
@@ -541,8 +550,7 @@ mod tests {
             pos += (RECORD_HDR_SIZE + 128) as u64;
         }
 
-        let mut found = s.ebp_recovery_scan(&mut ctx);
-        found.sort_by_key(|e| e.page);
+        let found = s.ebp_recovery_scan(&mut ctx);
         assert_eq!(found.len(), 2);
         assert_eq!(found[0].page, page_a);
         assert_eq!(found[0].lsn, 20, "newest image of page A wins");
@@ -554,6 +562,47 @@ mod tests {
         let found2 = s.ebp_recovery_scan(&mut ctx);
         assert_eq!(found2.len(), 1);
         assert_eq!(found2[0].page, page_a);
+    }
+
+    /// Write one EBP record for `page` at `lsn` at the start of `seg`'s slot.
+    fn write_ebp_record(s: &AStoreServer, ctx: &SimCtx, seg: SegmentId, page: PageId, lsn: Lsn) {
+        let base = s.segment_offset(seg).unwrap();
+        let hdr = encode_header(&EbpRecordHeader { page, lsn, len: 64 });
+        let dev = s.device();
+        let t = dev.write(ctx.now(), base, &hdr).unwrap();
+        let t = dev
+            .write(t, base + RECORD_HDR_SIZE as u64, &[0x5A; 64])
+            .unwrap();
+        let t = dev
+            .write(
+                t,
+                base + (RECORD_HDR_SIZE + 64) as u64,
+                &[0; RECORD_HDR_SIZE],
+            )
+            .unwrap();
+        dev.flush(t);
+    }
+
+    #[test]
+    fn ebp_scan_skips_segments_pending_cleanup() {
+        // Compaction copied page A from segment 1 to segment 2 at the same
+        // LSN, then deleted segment 1. The scan must report the live copy.
+        let (_env, s) = server();
+        let mut ctx = SimCtx::new(1, 7);
+        let page_a = PageId::new(1, 1);
+        for seg in [1, 2] {
+            s.handle_alloc(&mut ctx, seg, SegmentClass::Ebp).unwrap();
+            write_ebp_record(&s, &ctx, seg, page_a, 30);
+        }
+        assert_eq!(
+            s.ebp_recovery_scan(&mut ctx)[0].segment,
+            1,
+            "lowest id wins a tie"
+        );
+        s.handle_enqueue_cleanup(ctx.now(), 1);
+        let found = s.ebp_recovery_scan(&mut ctx);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].segment, 2, "the deleted segment is not scanned");
     }
 
     #[test]

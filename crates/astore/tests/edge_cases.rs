@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use vedb_astore::client::AStoreClient;
+use vedb_astore::client::{AStoreClient, SegmentHandle};
 use vedb_astore::cm::ClusterManager;
 use vedb_astore::layout::SegmentClass;
 use vedb_astore::{AStoreServer, AppendOpts, SegmentOpts, SegmentRing};
@@ -67,11 +67,16 @@ fn connect(c: &Cluster, ctx: &mut SimCtx, id: u64, refresh: VTime) -> Arc<AStore
 
 /// §IV-C's central timing argument: a deleted segment's space is not
 /// reused before every client has had a chance to refresh its routes —
-/// the cleanup delay exceeds the refresh period.
+/// the cleanup delay exceeds the longest a client uses a route without
+/// revalidating it, which is twice the refresh period.
 #[test]
 fn delayed_cleanup_outlives_route_refresh() {
     let cleanup_delay = VTime::from_millis(500);
     let refresh = VTime::from_millis(50);
+    assert!(
+        refresh * 2 < cleanup_delay,
+        "a route may be used for up to 2x the refresh period"
+    );
     let c = cluster(cleanup_delay);
     let mut ctx = SimCtx::new(1, 7);
     let client = connect(&c, &mut ctx, 1, refresh);
@@ -105,6 +110,54 @@ fn delayed_cleanup_outlives_route_refresh() {
         freed += s.run_cleanup(&mut sctx).len();
     }
     assert_eq!(freed, 3, "all three replicas reclaimed after the delay");
+}
+
+/// Route revalidation stays off the data path (§IV-C): a route between one
+/// and two refresh periods old is used as is while one batched CM lookup
+/// revalidates the whole cache in the background; only a client idle for
+/// longer than two periods waits for the CM.
+#[test]
+fn route_revalidation_stays_off_the_read_path() {
+    let refresh = VTime::from_millis(50);
+    let c = cluster(VTime::from_millis(500));
+    let mut ctx = SimCtx::new(1, 7);
+    let client = connect(&c, &mut ctx, 1, refresh);
+    let segs: Vec<SegmentHandle> = (0..3)
+        .map(|_| {
+            let seg = client
+                .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Ebp))
+                .unwrap();
+            client
+                .append_with(&mut ctx, seg, b"ebp-page", AppendOpts::new())
+                .unwrap();
+            seg
+        })
+        .collect();
+    let lookups = c.cm.metrics().counter("astore", "cm_route_lookups");
+    let timed_read = |ctx: &mut SimCtx, seg: SegmentHandle| {
+        let t0 = ctx.now();
+        assert_eq!(client.read(ctx, seg, 0, 8).unwrap(), b"ebp-page");
+        ctx.now() - t0
+    };
+
+    let before = lookups.get();
+    let fresh = timed_read(&mut ctx, segs[0]);
+    assert_eq!(lookups.get(), before, "a fresh route needs no lookup");
+
+    ctx.advance(refresh + refresh / 2);
+    assert_eq!(timed_read(&mut ctx, segs[0]), fresh, "no foreground stall");
+    assert_eq!(lookups.get(), before + 1, "one background lookup");
+    // That one call revalidated every cached route.
+    assert_eq!(timed_read(&mut ctx, segs[2]), fresh);
+    assert_eq!(lookups.get(), before + 1);
+
+    ctx.advance(refresh * 3);
+    let idle = timed_read(&mut ctx, segs[1]);
+    assert!(
+        idle >= fresh + VTime::from_micros(800),
+        "past 2x the refresh period the read waits for the CM: {idle} vs {fresh}"
+    );
+    assert_eq!(lookups.get(), before + 2);
 }
 
 /// A fenced-out client incarnation cannot delete or create segments, even

@@ -30,6 +30,7 @@ use parking_lot::Mutex;
 use vedb_astore::client::{AStoreClient, SegmentHandle};
 use vedb_astore::ebp_format::{encode_header, EbpRecordHeader, RECORD_HDR_SIZE};
 use vedb_astore::layout::SegmentClass;
+use vedb_astore::server::EbpScanEntry;
 use vedb_astore::{AppendOpts, Lsn, PageId, SegmentId, SegmentOpts};
 use vedb_pagestore::Page;
 use vedb_sim::fault::NodeId;
@@ -37,6 +38,9 @@ use vedb_sim::metrics::Counter;
 use vedb_sim::{MetricsRegistry, SimCtx, VTime};
 
 use crate::Result;
+
+/// One engine → AStore server request (page→LSN batch, recovery scan).
+const SERVER_RPC: VTime = VTime::from_micros(120);
 
 /// EBP capacity management policy (§V-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -492,7 +496,7 @@ impl Ebp {
         }
         for server in self.client.cm().live_servers() {
             // One RPC per server per batch.
-            ctx.advance(VTime::from_micros(120));
+            ctx.advance(SERVER_RPC);
             server.record_page_lsns(batch.iter().copied());
         }
     }
@@ -613,119 +617,89 @@ impl Ebp {
         ctx: &mut SimCtx,
         server: &Arc<vedb_astore::AStoreServer>,
     ) -> Result<usize> {
-        let mut attached = 0;
-        ctx.advance(VTime::from_micros(120)); // recovery RPC
-        for found in server.ebp_recovery_scan(ctx) {
-            // Only re-adopt segments the CM still routes (stale ones are
-            // pending cleanup).
-            let Ok(handle) = self
-                .client
-                .adopt_segment(ctx, found.segment, SegmentClass::Ebp)
-            else {
-                continue;
-            };
-            {
-                let mut segs = self.segs.lock();
-                segs.info.entry(handle.id).or_insert(SegInfo {
+        ctx.advance(SERVER_RPC); // recovery request
+        let found = server.ebp_recovery_scan(ctx);
+        Ok(self.adopt_scan(ctx, found))
+    }
+
+    /// Rebuild the EBP after a DBEngine crash from server-side scans
+    /// (§V-E). `client` is the *new* engine incarnation's AStore client.
+    /// Every live server scans at once; recovery waits for the slowest.
+    pub fn recover(ctx: &mut SimCtx, client: Arc<AStoreClient>, cfg: EbpConfig) -> Result<Ebp> {
+        let ebp = Ebp::new(Arc::clone(&client), cfg);
+        let mut found = Vec::new();
+        let mut done = ctx.now();
+        for server in client.cm().live_servers() {
+            let mut sctx = ctx.fork();
+            sctx.advance(SERVER_RPC); // recovery request
+            found.extend(server.ebp_recovery_scan(&mut sctx));
+            done = done.max(sctx.now());
+        }
+        ctx.wait_until(done);
+        ebp.adopt_scan(ctx, found);
+        Ok(ebp)
+    }
+
+    /// Install scanned images into the index. One batched route lookup
+    /// adopts every segment found; images in a segment without a route are
+    /// dropped, then the newest image per page wins (the first one found on
+    /// an LSN tie, and a page already cached at the same or a newer LSN
+    /// keeps its entry). Returns the number of pages installed.
+    fn adopt_scan(&self, ctx: &mut SimCtx, found: Vec<EbpScanEntry>) -> usize {
+        let mut segs: Vec<SegmentId> = found.iter().map(|e| e.segment).collect();
+        segs.sort_unstable();
+        segs.dedup();
+        let adopted = self.client.adopt_segments(ctx, &segs, SegmentClass::Ebp);
+        let handles: BTreeMap<SegmentId, SegmentHandle> = segs
+            .into_iter()
+            .zip(adopted)
+            .filter_map(|(seg, h)| Some((seg, h.ok()?)))
+            .collect();
+        {
+            let mut table = self.segs.lock();
+            for &handle in handles.values() {
+                table.info.entry(handle.id).or_insert(SegInfo {
                     handle,
                     used: self.client.segment_len(handle),
                     garbage: 0,
                 });
             }
-            let shard_idx = self.shard_of(found.page);
-            let prio = self.prio_of(found.page);
+        }
+        let mut installed = 0;
+        for found in found {
+            let Some(&seg) = handles.get(&found.segment) else {
+                continue; // deleted or lost segment: its images are gone
+            };
             let t = self.touch.fetch_add(1, Ordering::Relaxed);
-            let mut shard = self.shards[shard_idx].lock();
-            let newer_exists = shard
+            let mut shard = self.shards[self.shard_of(found.page)].lock();
+            if shard
                 .entries
                 .get(&found.page)
-                .map(|e| e.lsn >= found.lsn)
-                .unwrap_or(false);
-            if !newer_exists {
-                if let Some(old) = shard.entries.remove(&found.page) {
-                    shard.recency.remove(&old.touch);
-                    self.live_bytes.fetch_sub(old.len as u64, Ordering::Relaxed);
-                }
-                shard.entries.insert(
-                    found.page,
-                    Entry {
-                        lsn: found.lsn,
-                        seg: handle,
-                        offset: found.offset,
-                        len: found.len,
-                        prio,
-                        touch: t,
-                    },
-                );
-                shard.recency.insert(t, found.page);
-                self.live_bytes
-                    .fetch_add(found.len as u64, Ordering::Relaxed);
-                attached += 1;
+                .is_some_and(|e| e.lsn >= found.lsn)
+            {
+                continue;
             }
-        }
-        Ok(attached)
-    }
-
-    /// Rebuild the EBP after a DBEngine crash from server-side scans
-    /// (§V-E). `client` is the *new* engine incarnation's AStore client.
-    pub fn recover(ctx: &mut SimCtx, client: Arc<AStoreClient>, cfg: EbpConfig) -> Result<Ebp> {
-        let ebp = Ebp::new(Arc::clone(&client), cfg);
-        let mut adopted: HashMap<SegmentId, SegmentHandle> = HashMap::new();
-        for server in client.cm().live_servers() {
-            // Recovery request is an RPC; the scan charges PMem time.
-            ctx.advance(VTime::from_micros(120));
-            for found in server.ebp_recovery_scan(ctx) {
-                let handle = match adopted.get(&found.segment) {
-                    Some(h) => *h,
-                    None => {
-                        let Ok(h) = client.adopt_segment(ctx, found.segment, SegmentClass::Ebp)
-                        else {
-                            continue; // segment's route is gone
-                        };
-                        ebp.segs.lock().info.insert(
-                            h.id,
-                            SegInfo {
-                                handle: h,
-                                used: client.segment_len(h),
-                                garbage: 0,
-                            },
-                        );
-                        adopted.insert(found.segment, h);
-                        h
-                    }
-                };
-                let prio = ebp.prio_of(found.page);
-                let t = ebp.touch.fetch_add(1, Ordering::Relaxed);
-                let shard_idx = ebp.shard_of(found.page);
-                let mut shard = ebp.shards[shard_idx].lock();
-                let newer = shard
-                    .entries
-                    .get(&found.page)
-                    .map(|e| e.lsn >= found.lsn)
-                    .unwrap_or(false);
-                if !newer {
-                    if let Some(old) = shard.entries.remove(&found.page) {
-                        shard.recency.remove(&old.touch);
-                        ebp.live_bytes.fetch_sub(old.len as u64, Ordering::Relaxed);
-                    }
-                    shard.entries.insert(
-                        found.page,
-                        Entry {
-                            lsn: found.lsn,
-                            seg: handle,
-                            offset: found.offset,
-                            len: found.len,
-                            prio,
-                            touch: t,
-                        },
-                    );
-                    shard.recency.insert(t, found.page);
-                    ebp.live_bytes
-                        .fetch_add(found.len as u64, Ordering::Relaxed);
-                }
+            if let Some(old) = shard.entries.remove(&found.page) {
+                shard.recency.remove(&old.touch);
+                self.live_bytes.fetch_sub(old.len as u64, Ordering::Relaxed);
             }
+            shard.entries.insert(
+                found.page,
+                Entry {
+                    lsn: found.lsn,
+                    seg,
+                    offset: found.offset,
+                    len: found.len,
+                    prio: self.prio_of(found.page),
+                    touch: t,
+                },
+            );
+            shard.recency.insert(t, found.page);
+            self.live_bytes
+                .fetch_add(found.len as u64, Ordering::Relaxed);
+            installed += 1;
         }
-        Ok(ebp)
+        installed
     }
 }
 
@@ -950,6 +924,63 @@ mod tests {
         let recovered = Ebp::recover(&mut ctx, client2, small_cfg()).unwrap();
         assert!(recovered.contains(keep), "fresh page must survive recovery");
         assert!(!recovered.contains(stale), "stale page must be pruned");
+        let got = recovered.read_page(&mut ctx, keep, 100).unwrap();
+        assert_eq!(got.get(0).unwrap(), &[0x11; 64]);
+    }
+
+    #[test]
+    fn recovery_after_compaction_adopts_live_copies_in_one_route_lookup() {
+        let mut ctx = SimCtx::new(1, 7);
+        let (env, client) = harness(&mut ctx, 64); // three page records per segment
+        let cfg = EbpConfig {
+            compaction_garbage_ratio: 0.4,
+            ..small_cfg()
+        };
+        let ebp = Ebp::new(Arc::clone(&client), cfg.clone());
+        let keep = PageId::new(1, 1);
+        ebp.write_page(&mut ctx, keep, &page_with(0x11), 100)
+            .unwrap();
+        let first_seg = ebp.locate(keep).unwrap().seg.id;
+        // Overwrites turn the first segment into garbage; compaction moves
+        // `keep` (same LSN) to the active segment and deletes the old one.
+        let hot = PageId::new(1, 2);
+        for v in 0..3 {
+            ebp.write_page(&mut ctx, hot, &page_with(v), 101 + v as u64)
+                .unwrap();
+        }
+        let moved_to = ebp.locate(keep).unwrap().seg.id;
+        assert_ne!(moved_to, first_seg, "compaction must have moved the page");
+        for i in 10..15 {
+            ebp.write_page(&mut ctx, PageId::new(1, i), &page_with(i as u8), 50)
+                .unwrap();
+        }
+        let cached = ebp.len();
+        assert!(
+            ebp.segment_stats().len() >= 3,
+            "recovery scans many segments"
+        );
+        drop(ebp);
+
+        let ep = RdmaEndpoint::new(
+            env.model.clone(),
+            Arc::clone(&env.faults),
+            Arc::clone(&env.engine_nic),
+        );
+        let client2 = AStoreClient::connect(
+            &mut ctx,
+            Arc::clone(client.cm()),
+            ep,
+            Arc::clone(&env.engine_cpu),
+            env.model.clone(),
+            1,
+            VTime::from_millis(50),
+        );
+        let lookups = client2.metrics().counter("astore", "cm_route_lookups");
+        let before = lookups.get();
+        let recovered = Ebp::recover(&mut ctx, client2, cfg).unwrap();
+        assert_eq!(lookups.get() - before, 1, "one batched route lookup");
+        assert_eq!(recovered.len(), cached, "every cached page recovered");
+        assert_eq!(recovered.locate(keep).unwrap().seg.id, moved_to);
         let got = recovered.read_page(&mut ctx, keep, 100).unwrap();
         assert_eq!(got.get(0).unwrap(), &[0x11; 64]);
     }

@@ -886,9 +886,24 @@ impl PageStoreServer {
         min_lsn: Lsn,
         peers: &[Arc<PageStoreServer>],
     ) -> Result<Vec<u8>> {
-        let t0 = ctx.now();
-        // Error paths drop the guard → the span records as abandoned.
+        // Finished on every return: an error answer (UnknownPage for a
+        // fresh page, NotYetApplied) is a completed call, not an abandoned one.
         let sp = self.stats.trace.span(ctx, "pagestore", "read_page");
+        let res = self.read_page_traced(ctx, rpc, key, page, min_lsn, peers);
+        sp.finish(ctx);
+        res
+    }
+
+    fn read_page_traced(
+        &self,
+        ctx: &mut SimCtx,
+        rpc: &RpcFabric,
+        key: PsSegmentKey,
+        page: PageId,
+        min_lsn: Lsn,
+        peers: &[Arc<PageStoreServer>],
+    ) -> Result<Vec<u8>> {
+        let t0 = ctx.now();
         self.apply_pending(ctx, key)?;
         if self.applied_lsn(key) < min_lsn {
             self.gossip_fill_until(ctx, rpc, key, peers, min_lsn);
@@ -914,10 +929,7 @@ impl PageStoreServer {
             .ok_or(PageStoreError::UnknownPage(page))?;
         self.stats.page_reads.inc();
         self.stats.read_lat.record(ctx.now() - t0);
-        let bytes = p.as_bytes().to_vec();
-        drop(segs);
-        sp.finish(ctx);
-        Ok(bytes)
+        Ok(p.as_bytes().to_vec())
     }
 
     /// Local (no-RPC) page access for push-down execution on this server;
@@ -1160,7 +1172,6 @@ impl PageStore {
     /// Read the latest image of `page` at or beyond `min_lsn`, trying
     /// replicas in order.
     pub fn read_page(&self, ctx: &mut SimCtx, page: PageId, min_lsn: Lsn) -> Result<Vec<u8>> {
-        // All-replicas-failed paths drop the guard → abandoned span.
         let sp = self.trace.span(ctx, "pagestore", "read");
         let key = self.cfg.segment_of(page);
         let replicas = self.replicas_of(key);
@@ -1198,6 +1209,9 @@ impl PageStore {
                 }
             }
         }
+        // A failed read is still a finished call: its time belongs here,
+        // not in the caller's self time.
+        sp.finish(ctx);
         Err(last_err)
     }
 }
