@@ -87,8 +87,7 @@ impl RetryPolicy {
     }
 }
 
-/// Options for [`crate::AStoreClient::append_with`] — the consolidated
-/// append entry point (replaces the `append` / `append_with_tail` pair).
+/// Options for [`crate::AStoreClient::append_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AppendOpts<'a> {
     /// Extra bytes written *past* the appended record without advancing the
@@ -111,9 +110,7 @@ impl<'a> AppendOpts<'a> {
     }
 }
 
-/// Options for [`crate::AStoreClient::create_segment_with`] — the
-/// consolidated creation entry point (replaces `create_segment` /
-/// `create_segment_with_replication`).
+/// Options for [`crate::AStoreClient::create_segment_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentOpts {
     /// Replication class of the segment (drives the default factor).

@@ -68,11 +68,9 @@ pub struct BufferPool {
     touch: AtomicU64,
     engine_cpu: Arc<Resource>,
     model: LatencyModel,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    m_hits: Arc<Counter>,
-    m_misses: Arc<Counter>,
-    m_evictions: Arc<Counter>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
 }
 
 impl BufferPool {
@@ -93,7 +91,7 @@ impl BufferPool {
         )
     }
 
-    /// Like [`new`](Self::new), mirroring hit/miss/eviction counts into
+    /// Like [`new`](Self::new), counting hits, misses and evictions in
     /// `registry` (component `core`: `bp_hits`, `bp_misses`,
     /// `bp_evictions`).
     pub fn with_metrics(
@@ -117,11 +115,9 @@ impl BufferPool {
             touch: AtomicU64::new(1),
             engine_cpu,
             model,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            m_hits: registry.counter("core", "bp_hits"),
-            m_misses: registry.counter("core", "bp_misses"),
-            m_evictions: registry.counter("core", "bp_evictions"),
+            hits: registry.counter("core", "bp_hits"),
+            misses: registry.counter("core", "bp_misses"),
+            evictions: registry.counter("core", "bp_evictions"),
         }
     }
 
@@ -134,12 +130,12 @@ impl BufferPool {
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Cache misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Pages currently cached.
@@ -181,13 +177,11 @@ impl BufferPool {
                 shard.recency.remove(&old_touch);
                 shard.recency.insert(t, page_id);
                 shard.frames.insert(page_id, (Arc::clone(&frame), t));
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.m_hits.inc();
+                self.hits.inc();
                 return Ok(frame);
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.m_misses.inc();
+        self.misses.inc();
         // Load outside the shard lock (the loader does remote I/O).
         let page = loader(ctx)?;
         let frame = Frame::new(page);
@@ -214,7 +208,7 @@ impl BufferPool {
                     Some((vt, vp)) => {
                         shard.recency.remove(&vt);
                         let (vf, _) = shard.frames.remove(&vp).expect("present");
-                        self.m_evictions.inc();
+                        self.evictions.inc();
                         evicted.push((vp, vf));
                     }
                     None => break, // everything pinned; allow temporary overflow
@@ -238,12 +232,6 @@ impl BufferPool {
             s.frames.clear();
             s.recency.clear();
         }
-    }
-
-    /// Reset hit/miss counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 

@@ -127,9 +127,9 @@ pub struct EbpLoc {
     pub lsn: Lsn,
 }
 
-/// Registry-mirrored EBP counters (component `core`). The registry comes
-/// from the AStore client, so EBP activity lands in the same deployment
-/// report as the subsystems underneath it.
+/// EBP counters (component `core`). The registry comes from the AStore
+/// client, so EBP activity lands in the same deployment report as the
+/// subsystems underneath it.
 struct EbpStats {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -162,8 +162,6 @@ pub struct Ebp {
     segs: Mutex<SegTable>,
     live_bytes: AtomicU64,
     touch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     lsn_batch: Mutex<Vec<(PageId, Lsn)>>,
     /// Set while a compaction pass runs: re-admission writes go through
     /// [`Ebp::write_page`], whose trailing `maybe_compact` must not recurse
@@ -196,8 +194,6 @@ impl Ebp {
             }),
             live_bytes: AtomicU64::new(0),
             touch: AtomicU64::new(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             lsn_batch: Mutex::new(Vec::new()),
             compacting: AtomicBool::new(false),
             stats,
@@ -220,18 +216,12 @@ impl Ebp {
 
     /// EBP hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.stats.hits.get()
     }
 
     /// EBP misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Reset the hit/miss counters.
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.stats.misses.get()
     }
 
     /// Live cached bytes.
@@ -446,14 +436,12 @@ impl Ebp {
             }
         };
         let Some(e) = entry else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             self.stats.misses.inc();
             return None;
         };
         match self.client.read(ctx, e.seg, e.offset, e.len as usize) {
             Ok(bytes) => match Page::from_bytes(&bytes) {
                 Ok(p) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
                     self.stats.hits.inc();
                     Some(p)
                 }
@@ -467,7 +455,6 @@ impl Ebp {
                     shard.recency.remove(&e.touch);
                     self.drop_entry(pid, &e);
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 self.stats.misses.inc();
                 None
             }
@@ -517,7 +504,10 @@ impl Ebp {
     }
 
     fn compact_locked(&self, ctx: &mut SimCtx) -> Result<usize> {
-        let candidates: Vec<(SegmentId, SegmentHandle)> = {
+        // Segments in id order and their live pages in page order: the
+        // index maps iterate in per-process random order, and re-admission
+        // order decides where pages land, so one seed must pick one order.
+        let mut candidates: Vec<(SegmentId, SegmentHandle)> = {
             let segs = self.segs.lock();
             segs.info
                 .iter()
@@ -530,11 +520,12 @@ impl Ebp {
                 .map(|(id, info)| (*id, info.handle))
                 .collect()
         };
+        candidates.sort_unstable_by_key(|(id, _)| *id);
         let mut processed = 0;
         for (seg_id, handle) in candidates {
             if self.cfg.compaction {
                 // Move live records into the active segment.
-                let live: Vec<(PageId, Entry)> = self
+                let mut live: Vec<(PageId, Entry)> = self
                     .shards
                     .iter()
                     .flat_map(|s| {
@@ -546,6 +537,7 @@ impl Ebp {
                             .collect::<Vec<_>>()
                     })
                     .collect();
+                live.sort_unstable_by_key(|(pid, _)| *pid);
                 for (pid, e) in live {
                     if let Ok(bytes) = self.client.read(ctx, e.seg, e.offset, e.len as usize) {
                         if let Ok(page) = Page::from_bytes(&bytes) {

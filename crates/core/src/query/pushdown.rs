@@ -15,7 +15,7 @@
 //! down is a page-count threshold plus a session flag, exactly as in the
 //! paper (cost-based selection is listed as future work).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use vedb_astore::{Lsn, PageId};
 use vedb_pagestore::page::{Page, PageType};
@@ -240,8 +240,10 @@ pub fn cost_decision(db: &Db, space: u32, pages: u32, reduces_rows: bool, has_ag
 /// requested pages in the EBP index").
 fn split_tasks(db: &Db, space: u32) -> Vec<Task> {
     let n_pages = db.space_pages(space);
-    let mut ebp_groups: HashMap<NodeId, Vec<EbpLoc>> = HashMap::new();
-    let mut ps_groups: HashMap<NodeId, Vec<(PageId, Lsn)>> = HashMap::new();
+    // Node order fixes the dispatch order, and with it the RNG seed each
+    // task's forked context draws and the order partials are merged in.
+    let mut ebp_groups: BTreeMap<NodeId, Vec<EbpLoc>> = BTreeMap::new();
+    let mut ps_groups: BTreeMap<NodeId, Vec<(PageId, Lsn)>> = BTreeMap::new();
     for page_no in 1..=n_pages {
         let pid = PageId::new(space, page_no);
         let need_lsn = db.page_lsn(pid);

@@ -261,7 +261,8 @@ fn eviction_through_ebp_and_pagestore_roundtrip() {
 
     // The pool holds 16 pages; the table is much bigger, so reads of cold
     // keys must come from the EBP or PageStore.
-    db.ebp().unwrap().reset_stats();
+    let ebp = db.ebp().unwrap();
+    let (h0, m0) = (ebp.hits(), ebp.misses());
     for i in (0..3000).step_by(97) {
         let r = db
             .get_by_pk(&mut ctx, None, "accounts", &[Value::Int(i)])
@@ -270,10 +271,10 @@ fn eviction_through_ebp_and_pagestore_roundtrip() {
         assert_eq!(r[0], Value::Int(i));
     }
     assert!(
-        db.ebp().unwrap().hits() > 0,
+        ebp.hits() > h0,
         "cold reads should be served by the EBP (hits={}, misses={})",
-        db.ebp().unwrap().hits(),
-        db.ebp().unwrap().misses()
+        ebp.hits() - h0,
+        ebp.misses() - m0
     );
 }
 

@@ -27,9 +27,9 @@ use vedb_core::wal::{FlushPolicy, LogBackend, Wal, WalRecord};
 use vedb_core::Result;
 use vedb_sim::{MetricsRegistry, SimCtx, VTime};
 
-/// In-memory log backend: durable the instant `append` returns, with a
-/// small virtual-time cost so flush latency is non-zero. Counts physical
-/// appends so the test can observe batching.
+/// In-memory log backend: durable the instant `append_batch` returns,
+/// with a small virtual-time cost so flush latency is non-zero. Counts
+/// physical appends so the test can observe batching.
 struct MemLog {
     buf: Mutex<Vec<u8>>,
     appends: AtomicU64,
@@ -49,13 +49,16 @@ impl LogBackend for MemLog {
         self.buf.lock().len() as u64
     }
 
-    fn append(&self, ctx: &mut SimCtx, bytes: &[u8]) -> Result<Lsn> {
+    fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>> {
         ctx.advance(VTime::from_micros(20));
         self.appends.fetch_add(1, Ordering::Relaxed);
         let mut buf = self.buf.lock();
-        let lsn = buf.len() as u64;
-        buf.extend_from_slice(bytes);
-        Ok(lsn)
+        let mut lsns = Vec::with_capacity(records.len());
+        for bytes in records {
+            lsns.push(buf.len() as u64);
+            buf.extend_from_slice(bytes);
+        }
+        Ok(lsns)
     }
 
     fn read_from(&self, _ctx: &mut SimCtx, lsn: Lsn) -> Result<(Lsn, Vec<u8>)> {
@@ -146,9 +149,6 @@ struct ArcLog(Arc<MemLog>);
 impl LogBackend for ArcLog {
     fn next_lsn(&self) -> Lsn {
         self.0.next_lsn()
-    }
-    fn append(&self, ctx: &mut SimCtx, bytes: &[u8]) -> Result<Lsn> {
-        self.0.append(ctx, bytes)
     }
     fn append_batch(&self, ctx: &mut SimCtx, records: &[&[u8]]) -> Result<Vec<Lsn>> {
         self.0.append_batch(ctx, records)
