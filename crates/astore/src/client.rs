@@ -153,8 +153,8 @@ impl AStoreClient {
         )
     }
 
-    /// Connect with an explicit [`RetryPolicy`] (the DBEngine passes
-    /// `DbConfig::retry` through here).
+    /// Connect with an explicit [`RetryPolicy`] (fault-injection tests
+    /// use a tighter or disabled policy).
     #[allow(clippy::too_many_arguments)]
     pub fn connect_with_policy(
         ctx: &mut SimCtx,

@@ -3,10 +3,6 @@
 //! ```text
 //! report_diff <baseline.json> <new.json> [options]
 //!
-//!   --max-tput-drop <frac>      throughput drop budget   (default 0.10)
-//!   --max-p50-rise <frac>       p50 latency rise budget  (default 0.20)
-//!   --max-p99-rise <frac>       p99 latency rise budget  (default 0.20)
-//!   --max-phase-shift-pp <pp>   gate commit-phase share drift (default: report only)
 //!   --max-util-drift <pp>       gate steady-state resource-utilization drift,
 //!                               percentage points either direction
 //!                               (default: report only)
@@ -17,26 +13,27 @@
 //!                               (repeatable)
 //! ```
 //!
-//! Exit codes: 0 clean, 1 a gated metric regressed, 2 usage/parse error.
+//! Throughput and p50/p99 latency are always gated, at the fixed budgets
+//! in `vedb_bench::diff` (-10%, +20%, +20%), whenever the baseline has a
+//! trial window. Exit codes: 0 clean, 1 a gated metric regressed, 2
+//! usage/parse error.
 
 use std::process::ExitCode;
 
-use vedb_bench::diff::{diff, parse_json, ReportSummary, Thresholds};
+use vedb_bench::diff::{diff, Thresholds};
+use vedb_sim::RunReport;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: report_diff <baseline.json> <new.json> \
-         [--max-tput-drop F] [--max-p50-rise F] [--max-p99-rise F] \
-         [--max-phase-shift-pp PP] [--max-util-drift PP] \
+        "usage: report_diff <baseline.json> <new.json> [--max-util-drift PP] \
          [--assert-counter-ratio-lt NUM/DEN X]... [--assert-counter-lt A B]..."
     );
     ExitCode::from(2)
 }
 
-fn load(path: &str) -> Result<ReportSummary, String> {
+fn load(path: &str) -> Result<RunReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    ReportSummary::from_json(&doc).map_err(|e| format!("{path}: {e}"))
+    RunReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -45,45 +42,11 @@ fn main() -> ExitCode {
     let mut th = Thresholds::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut frac = |dst: &mut f64| -> bool {
-            match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 => {
-                    *dst = v;
-                    true
-                }
-                _ => false,
-            }
-        };
         match arg.as_str() {
-            "--max-tput-drop" => {
-                if !frac(&mut th.max_tput_drop) {
-                    return usage();
-                }
-            }
-            "--max-p50-rise" => {
-                if !frac(&mut th.max_p50_rise) {
-                    return usage();
-                }
-            }
-            "--max-p99-rise" => {
-                if !frac(&mut th.max_p99_rise) {
-                    return usage();
-                }
-            }
-            "--max-phase-shift-pp" => {
-                let mut pp = 0.0;
-                if !frac(&mut pp) {
-                    return usage();
-                }
-                th.max_phase_shift_pp = Some(pp);
-            }
-            "--max-util-drift" => {
-                let mut pp = 0.0;
-                if !frac(&mut pp) {
-                    return usage();
-                }
-                th.max_util_drift_pp = Some(pp);
-            }
+            "--max-util-drift" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(pp) if pp >= 0.0 => th.max_util_drift_pp = Some(pp),
+                _ => return usage(),
+            },
             "--assert-counter-ratio-lt" => {
                 let pair = it.next();
                 let limit = it.next().and_then(|v| v.parse::<f64>().ok());

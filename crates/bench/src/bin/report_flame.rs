@@ -6,15 +6,17 @@
 //! report_flame --top <report.json>               one-screen saturation summary
 //! ```
 //!
-//! The folded lines feed any flamegraph renderer that understands the
-//! `stack weight` format (`inferno-flamegraph`, `flamegraph.pl`); weights
-//! are span self-times in virtual nanoseconds. Exit codes: 0 clean, 2
-//! usage/parse error (including a pre-v3 report with no folded section).
+//! The report is read back with `RunReport::from_json` and rendered by the
+//! same `folded_stacks` / `top_summary` a live run prints, so an artifact
+//! renders exactly as its run did. The folded lines feed any flamegraph
+//! renderer that understands the `stack weight` format
+//! (`inferno-flamegraph`, `flamegraph.pl`); weights are span self-times in
+//! virtual nanoseconds. Exit codes: 0 clean, 2 usage/parse error
+//! (including a report of another schema version).
 
 use std::process::ExitCode;
 
-use vedb_bench::diff::parse_json;
-use vedb_bench::flame::{folded_lines, top_summary};
+use vedb_sim::RunReport;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -42,42 +44,33 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else { return usage() };
-    let doc = match std::fs::read_to_string(&path)
-        .map_err(|e| format!("{path}: {e}"))
-        .and_then(|text| parse_json(&text).map_err(|e| format!("{path}: {e}")))
+    let report = match std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| RunReport::from_json(&text))
     {
-        Ok(doc) => doc,
+        Ok(report) => report,
         Err(e) => {
-            eprintln!("report_flame: {e}");
+            eprintln!("report_flame: {path}: {e}");
             return ExitCode::from(2);
         }
     };
-    let rendered = if top {
-        top_summary(&doc)
+    let text = if top {
+        report.top_summary()
     } else {
-        folded_lines(&doc)
+        report.folded_stacks()
     };
-    match rendered {
-        Ok(text) => match out_path {
-            Some(out) => {
-                if let Err(e) = std::fs::write(&out, &text) {
-                    eprintln!("report_flame: {out}: {e}");
-                    return ExitCode::from(2);
-                }
-                eprintln!(
-                    "report_flame: wrote {} lines to {out}",
-                    text.lines().count()
-                );
-                ExitCode::SUCCESS
+    match out_path {
+        Some(out) => {
+            if let Err(e) = std::fs::write(&out, &text) {
+                eprintln!("report_flame: {out}: {e}");
+                return ExitCode::from(2);
             }
-            None => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-        },
-        Err(e) => {
-            eprintln!("report_flame: {e}");
-            ExitCode::from(2)
+            eprintln!(
+                "report_flame: wrote {} lines to {out}",
+                text.lines().count()
+            );
         }
+        None => print!("{text}"),
     }
+    ExitCode::SUCCESS
 }

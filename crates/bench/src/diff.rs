@@ -1,329 +1,34 @@
 //! Perf-regression diffing of two `BENCH_<figure>.json` reports.
 //!
-//! The bench reports are byte-deterministic JSON written by
-//! [`vedb_sim::RunReport::to_json`]; this module reads two of them (a
-//! committed baseline and a freshly generated artifact), compares
-//! throughput, latency percentiles, key counters and commit-phase shares
-//! against relative thresholds, and renders a readable table. The
+//! The reports are read with [`RunReport::from_json`], the inverse of the
+//! writer, so this module never sees raw JSON. [`diff`] compares a
+//! committed baseline with a freshly generated report: throughput and
+//! committed-op latency percentiles against fixed relative budgets, key
+//! counters and commit-phase shares as information, and optional gates on
+//! resource utilization drift and on counters of the new report. The
 //! `report_diff` binary wires this into CI: exit 1 when a gated metric
 //! regressed beyond its threshold.
-//!
-//! The workspace deliberately has no serde; the parser below is a minimal
-//! recursive-descent JSON reader sufficient for the report schema (objects,
-//! arrays, strings with the escapes our writer emits, f64 numbers).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (the report only emits integers and fixed-decimal floats,
-    /// all exactly representable in f64).
-    Num(f64),
-    /// String
-    Str(String),
-    /// Array
-    Arr(Vec<Json>),
-    /// Object, key-sorted (insertion order is irrelevant for diffing).
-    Obj(BTreeMap<String, Json>),
-}
+use vedb_sim::RunReport;
 
-impl Json {
-    /// Member lookup on an object, `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
+// The repository benchmark's self-test reads its result lines through
+// this path.
+pub use vedb_sim::json::{parse_json, Json};
 
-    /// Numeric value, `None` otherwise.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
+/// Max tolerated throughput drop, as a fraction of the baseline.
+pub const MAX_TPUT_DROP: f64 = 0.10;
+/// Max tolerated committed-op p50 latency rise, as a fraction.
+pub const MAX_P50_RISE: f64 = 0.20;
+/// Max tolerated committed-op p99 latency rise, as a fraction.
+pub const MAX_P99_RISE: f64 = 0.20;
 
-    /// String value, `None` otherwise.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Object map, `None` otherwise.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a byte offset for context.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                map.insert(key, val);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("truncated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("unsupported escape at byte {pos}")),
-                }
-            }
-            c => {
-                // Multi-byte UTF-8 passes through unchanged.
-                let start = *pos - 1;
-                let len = match c {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let chunk = b.get(start..start + len).ok_or("truncated utf-8")?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|_| "bad utf-8")?);
-                *pos = start + len;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while let Some(&c) = b.get(*pos) {
-        if matches!(c, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-/// The comparable slice of one bench report.
-#[derive(Debug, Clone)]
-pub struct ReportSummary {
-    /// Report name (the `<figure>` of `BENCH_<figure>.json`).
-    pub name: String,
-    /// Committed operations per virtual second.
-    pub throughput_per_s: f64,
-    /// Committed-op latency median, ns.
-    pub p50_ns: f64,
-    /// Committed-op latency 99th percentile, ns.
-    pub p99_ns: f64,
-    /// Every counter, keyed `"component.name"`.
-    pub counters: BTreeMap<String, f64>,
-    /// Commit-phase share of total commit time, keyed phase name, in
-    /// percent. Empty when the run was not traced.
-    pub phase_share_pct: BTreeMap<String, f64>,
-    /// Steady-state utilization per resource, keyed `"node.device"`, in
-    /// percent. Empty for pre-v3 reports (no `resources` section).
-    pub resource_util_pct: BTreeMap<String, f64>,
-}
-
-impl ReportSummary {
-    /// Extract the comparable fields from a parsed report.
-    pub fn from_json(doc: &Json) -> Result<ReportSummary, String> {
-        let need = |k: &str| doc.get(k).ok_or_else(|| format!("report missing `{k}`"));
-        let num = |k: &str| {
-            need(k)?
-                .as_f64()
-                .ok_or_else(|| format!("`{k}` is not a number"))
-        };
-        let schema = need("schema")?.as_str().unwrap_or("");
-        if !schema.starts_with("vedb-bench-report/") {
-            return Err(format!("not a vedb bench report (schema `{schema}`)"));
-        }
-        let latency = need("latency")?;
-        let counters = need("counters")?
-            .as_obj()
-            .ok_or("`counters` is not an object")?
-            .iter()
-            .filter_map(|(k, v)| v.as_f64().map(|n| (k.clone(), n)))
-            .collect();
-        // Phase shares recomputed from integer totals rather than trusting
-        // the serialized fixed-point strings.
-        let mut phase_share_pct = BTreeMap::new();
-        if let Some(phases) = doc.get("profile").and_then(|p| p.get("commit_phases")) {
-            if let Some(m) = phases.as_obj() {
-                let total: f64 = m
-                    .values()
-                    .filter_map(|v| v.get("total_ns").and_then(Json::as_f64))
-                    .sum();
-                if total > 0.0 {
-                    for (k, v) in m {
-                        if let Some(ns) = v.get("total_ns").and_then(Json::as_f64) {
-                            phase_share_pct.insert(k.clone(), ns * 100.0 / total);
-                        }
-                    }
-                }
-            }
-        }
-        // Steady-state utilization per resource (schema v3+). Older
-        // baselines simply have no section; the diff then reports every
-        // resource as "new" without gating, so a v2 baseline still works.
-        let mut resource_util_pct = BTreeMap::new();
-        if let Some(m) = doc.get("resources").and_then(Json::as_obj) {
-            for (k, v) in m {
-                if let Some(u) = v.get("steady_util_pct").and_then(Json::as_f64) {
-                    resource_util_pct.insert(k.clone(), u);
-                }
-            }
-        }
-        Ok(ReportSummary {
-            name: need("name")?.as_str().unwrap_or("?").to_string(),
-            throughput_per_s: num("throughput_per_s")?,
-            p50_ns: latency
-                .get("p50_ns")
-                .and_then(Json::as_f64)
-                .ok_or("`latency.p50_ns` missing")?,
-            p99_ns: latency
-                .get("p99_ns")
-                .and_then(Json::as_f64)
-                .ok_or("`latency.p99_ns` missing")?,
-            counters,
-            phase_share_pct,
-            resource_util_pct,
-        })
-    }
-}
-
-/// Relative regression thresholds. A metric regresses when it moves in its
-/// bad direction by more than the given fraction of the baseline.
-#[derive(Debug, Clone)]
+/// The gates a caller can set on top of the fixed throughput and latency
+/// budgets.
+#[derive(Debug, Clone, Default)]
 pub struct Thresholds {
-    /// Max tolerated throughput drop (fraction; 0.10 = -10%).
-    pub max_tput_drop: f64,
-    /// Max tolerated p50 latency rise (fraction).
-    pub max_p50_rise: f64,
-    /// Max tolerated p99 latency rise (fraction).
-    pub max_p99_rise: f64,
-    /// Max tolerated commit-phase share drift, percentage points; `None`
-    /// reports the drift without gating on it.
-    pub max_phase_shift_pp: Option<f64>,
     /// Max tolerated steady-state resource-utilization drift, percentage
     /// points (either direction — a device suddenly idling flags a broken
     /// path as surely as one saturating); `None` reports without gating.
@@ -338,20 +43,6 @@ pub struct Thresholds {
     /// `counters[a] < counters[b]` — e.g. `rdma.doorbells < rdma.wrs`
     /// proves multi-WR chains actually share doorbells.
     pub counter_lt: Vec<(String, String)>,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            max_tput_drop: 0.10,
-            max_p50_rise: 0.20,
-            max_p99_rise: 0.20,
-            max_phase_shift_pp: None,
-            max_util_drift_pp: None,
-            counter_ratio_lt: Vec::new(),
-            counter_lt: Vec::new(),
-        }
-    }
 }
 
 /// Outcome of one diff: the rendered table plus the regressions found.
@@ -390,8 +81,29 @@ fn fmt_delta(d: f64) -> String {
     }
 }
 
-/// Compare `new` against `base` under `th`.
-pub fn diff(base: &ReportSummary, new: &ReportSummary, th: &Thresholds) -> DiffOutcome {
+/// Commit-phase share of total commit time, percent, keyed by phase.
+/// Empty when the run was not traced.
+fn phase_share_pct(r: &RunReport) -> BTreeMap<&str, f64> {
+    let phases = &r.profile.commit_phases;
+    let total: u64 = phases.values().map(|p| p.total_ns).sum();
+    phases
+        .iter()
+        .filter(|_| total > 0)
+        .map(|(k, p)| (k.as_str(), p.total_ns as f64 * 100.0 / total as f64))
+        .collect()
+}
+
+/// Steady-state utilization per resource, percent.
+fn util_pct(r: &RunReport) -> BTreeMap<&str, f64> {
+    r.resources
+        .iter()
+        .map(|(k, res)| (k.as_str(), res.steady_util_x100 as f64 / 100.0))
+        .collect()
+}
+
+/// Compare `new` against `base`: the fixed throughput and latency budgets
+/// plus the gates in `th`.
+pub fn diff(base: &RunReport, new: &RunReport, th: &Thresholds) -> DiffOutcome {
     let mut table = String::new();
     let mut regressions = Vec::new();
     let _ = writeln!(
@@ -405,19 +117,18 @@ pub fn diff(base: &ReportSummary, new: &ReportSummary, th: &Thresholds) -> DiffO
         "metric", "baseline", "new", "delta"
     );
 
-    let mut row = |name: &str, b: f64, n: f64, gate: Option<(f64, bool)>| {
+    // `gate` is `(limit, worse_when_up)`: latency-style metrics regress on
+    // a rise. Ungated rows print `note` in the gate column.
+    let mut row = |name: &str, b: f64, n: f64, gate: Option<(f64, bool)>, note: &str| {
         let d = rel_delta(b, n);
-        // `worse_when_up`: latency-style metrics regress on a rise.
-        let (verdict, is_reg) = match gate {
-            None => ("", false),
-            Some((limit, worse_when_up)) => {
-                let bad = if worse_when_up { d } else { -d };
-                if bad > limit {
-                    ("REGRESSED", true)
-                } else {
-                    ("ok", false)
-                }
-            }
+        let regressed = gate.is_some_and(|(limit, worse_when_up)| {
+            let bad = if worse_when_up { d } else { -d };
+            bad > limit
+        });
+        let verdict = match gate {
+            None => note,
+            Some(_) if regressed => "REGRESSED",
+            Some(_) => "ok",
         };
         let _ = writeln!(
             table,
@@ -428,33 +139,45 @@ pub fn diff(base: &ReportSummary, new: &ReportSummary, th: &Thresholds) -> DiffO
             fmt_delta(d),
             verdict
         );
-        if is_reg {
+        if let Some((limit, _)) = gate.filter(|_| regressed) {
             regressions.push(format!(
                 "{name}: {b:.1} -> {n:.1} ({}) exceeds threshold {:.0}%",
                 fmt_delta(d),
-                gate.unwrap().0 * 100.0
+                limit * 100.0
             ));
         }
     };
 
-    row(
-        "throughput_per_s",
-        base.throughput_per_s,
-        new.throughput_per_s,
-        Some((th.max_tput_drop, false)),
-    );
-    row(
-        "latency.p50_ns",
-        base.p50_ns,
-        new.p50_ns,
-        Some((th.max_p50_rise, true)),
-    );
-    row(
-        "latency.p99_ns",
-        base.p99_ns,
-        new.p99_ns,
-        Some((th.max_p99_rise, true)),
-    );
+    // A sweep report has no trial window, so its throughput and latency
+    // are zeros, not measurements: gate them only against a baseline that
+    // measured a window. A new report that lost its window then shows as a
+    // 100% throughput drop.
+    for (name, b, n, limit, worse_when_up) in [
+        (
+            "throughput_per_s",
+            base.throughput(),
+            new.throughput(),
+            MAX_TPUT_DROP,
+            false,
+        ),
+        (
+            "latency.p50_ns",
+            base.latency.p50_ns as f64,
+            new.latency.p50_ns as f64,
+            MAX_P50_RISE,
+            true,
+        ),
+        (
+            "latency.p99_ns",
+            base.latency.p99_ns as f64,
+            new.latency.p99_ns as f64,
+            MAX_P99_RISE,
+            true,
+        ),
+    ] {
+        let gate = (base.window_ns > 0).then_some((limit, worse_when_up));
+        row(name, b, n, gate, "n/a (no trial window)");
+    }
 
     // Key counters: informational (the virtual-time smoke run is seeded, so
     // any drift here is a behaviour change worth seeing, not gating).
@@ -465,99 +188,51 @@ pub fn diff(base: &ReportSummary, new: &ReportSummary, th: &Thresholds) -> DiffO
         "pagestore.records_applied",
         "rdma.chain_writes",
     ] {
-        let b = base.counters.get(key).copied().unwrap_or(0.0);
-        let n = new.counters.get(key).copied().unwrap_or(0.0);
-        if b != 0.0 || n != 0.0 {
-            row(key, b, n, None);
+        let (b, n) = (base.counter(key), new.counter(key));
+        if b != 0 || n != 0 {
+            row(key, b as f64, n as f64, None, "");
         }
     }
 
-    // Commit-phase shares: drift in percentage points.
-    let mut phases: Vec<&String> = base
-        .phase_share_pct
-        .keys()
-        .chain(new.phase_share_pct.keys())
-        .collect();
-    phases.sort();
-    phases.dedup();
-    for phase in phases {
-        let b = base.phase_share_pct.get(phase).copied().unwrap_or(0.0);
-        let n = new.phase_share_pct.get(phase).copied().unwrap_or(0.0);
-        let drift = n - b;
-        let gated = th
-            .max_phase_shift_pp
-            .map(|limit| drift.abs() > limit)
-            .unwrap_or(false);
-        let _ = writeln!(
-            table,
-            "{:<28} {:>13.2}% {:>13.2}% {:>+8.2}pp  {}",
-            format!("phase.{phase}"),
-            b,
-            n,
-            drift,
-            if gated {
-                "REGRESSED"
-            } else if th.max_phase_shift_pp.is_some() {
-                "ok"
-            } else {
-                ""
-            }
-        );
-        if gated {
-            regressions.push(format!(
-                "phase.{phase}: share {b:.2}% -> {n:.2}% drifts {:+.2}pp beyond {:.1}pp",
+    // Commit-phase shares (informational) and resource utilization (gated
+    // when asked): drift in percentage points, over the union of keys.
+    for (prefix, b, n, limit) in [
+        ("phase", phase_share_pct(base), phase_share_pct(new), None),
+        ("util", util_pct(base), util_pct(new), th.max_util_drift_pp),
+    ] {
+        let mut keys: Vec<&str> = b.keys().chain(n.keys()).copied().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        for key in keys {
+            let bv = b.get(key).copied().unwrap_or(0.0);
+            let nv = n.get(key).copied().unwrap_or(0.0);
+            let drift = nv - bv;
+            let regressed = limit.is_some_and(|l| drift.abs() > l);
+            let _ = writeln!(
+                table,
+                "{:<28} {:>13.2}% {:>13.2}% {:>+8.2}pp  {}",
+                format!("{prefix}.{key}"),
+                bv,
+                nv,
                 drift,
-                th.max_phase_shift_pp.unwrap()
-            ));
-        }
-    }
-
-    // Resource steady-state utilization: drift in percentage points. A
-    // baseline with no `resources` section (pre-v3) cannot anchor a drift,
-    // so those rows render as informational and the gate stays quiet until
-    // the baseline is regenerated.
-    let anchored = !base.resource_util_pct.is_empty();
-    let mut resources: Vec<&String> = base
-        .resource_util_pct
-        .keys()
-        .chain(new.resource_util_pct.keys())
-        .collect();
-    resources.sort();
-    resources.dedup();
-    for res in resources {
-        let b = base.resource_util_pct.get(res).copied().unwrap_or(0.0);
-        let n = new.resource_util_pct.get(res).copied().unwrap_or(0.0);
-        let drift = n - b;
-        let gate = th.max_util_drift_pp.filter(|_| anchored);
-        let gated = gate.map(|limit| drift.abs() > limit).unwrap_or(false);
-        let _ = writeln!(
-            table,
-            "{:<28} {:>13.2}% {:>13.2}% {:>+8.2}pp  {}",
-            format!("util.{res}"),
-            b,
-            n,
-            drift,
-            if gated {
-                "REGRESSED"
-            } else if gate.is_some() {
-                "ok"
-            } else {
-                ""
+                match limit {
+                    None => "",
+                    Some(_) if regressed => "REGRESSED",
+                    Some(_) => "ok",
+                }
+            );
+            if let Some(l) = limit.filter(|_| regressed) {
+                regressions.push(format!(
+                    "{prefix}.{key}: {bv:.2}% -> {nv:.2}% drifts {drift:+.2}pp beyond {l:.1}pp"
+                ));
             }
-        );
-        if gated {
-            regressions.push(format!(
-                "util.{res}: {b:.2}% -> {n:.2}% drifts {:+.2}pp beyond {:.1}pp",
-                drift,
-                th.max_util_drift_pp.unwrap()
-            ));
         }
     }
 
     // Absolute counter gates, evaluated against the new report only.
     for (num, den, limit) in &th.counter_ratio_lt {
-        let n = new.counters.get(num).copied().unwrap_or(0.0);
-        let d = new.counters.get(den).copied().unwrap_or(0.0);
+        let n = new.counter(num) as f64;
+        let d = new.counter(den) as f64;
         let (shown, ok) = if d > 0.0 {
             (n / d, n / d < *limit)
         } else {
@@ -581,12 +256,11 @@ pub fn diff(base: &ReportSummary, new: &ReportSummary, th: &Thresholds) -> DiffO
         }
     }
     for (a, b) in &th.counter_lt {
-        let av = new.counters.get(a).copied().unwrap_or(0.0);
-        let bv = new.counters.get(b).copied().unwrap_or(0.0);
+        let (av, bv) = (new.counter(a), new.counter(b));
         let ok = av < bv;
         let _ = writeln!(
             table,
-            "{:<28} {:>14.0} {:>14.0} {:>9}  {}",
+            "{:<28} {:>14} {:>14} {:>9}  {}",
             format!("assert {a} < {b}"),
             av,
             bv,
@@ -594,7 +268,7 @@ pub fn diff(base: &ReportSummary, new: &ReportSummary, th: &Thresholds) -> DiffO
             if ok { "ok" } else { "REGRESSED" }
         );
         if !ok {
-            regressions.push(format!("{a} ({av:.0}) not below {b} ({bv:.0})"));
+            regressions.push(format!("{a} ({av}) not below {b} ({bv})"));
         }
     }
 
@@ -604,171 +278,114 @@ pub fn diff(base: &ReportSummary, new: &ReportSummary, th: &Thresholds) -> DiffO
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vedb_sim::{MetricsRegistry, PhaseStat, ResourceSummary, TrialResult, VTime};
 
-    fn report_json(tput: f64, p50: u64, p99: u64, flush_ns: u64, self_ns: u64) -> String {
-        report_json_util(tput, p50, p99, flush_ns, self_ns, 42.17)
+    /// A one-second trial of `committed` ops with the given latency
+    /// percentiles, commit-phase split and `astore-0.pmem` utilization.
+    fn report(committed: u64, p50: u64, p99: u64, flush_ns: u64, util_x100: u64) -> RunReport {
+        let mut trial = TrialResult::new(VTime::from_secs(1));
+        trial.committed = committed;
+        let mut r = RunReport::collect("unit", Some(&trial), &MetricsRegistry::new());
+        r.latency.p50_ns = p50;
+        r.latency.p99_ns = p99;
+        r.counters = [("core.commits", 100), ("astore.appends", 40)]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        for (phase, total_ns) in [("wal/flush", flush_ns), ("self", 100 - flush_ns)] {
+            r.profile
+                .commit_phases
+                .insert(phase.into(), PhaseStat { count: 1, total_ns });
+        }
+        let pmem = ResourceSummary {
+            lanes: 4,
+            ops: 40,
+            busy_ns: 400,
+            steady_util_x100: util_x100,
+            wait: r.latency.clone(),
+            service: r.latency.clone(),
+        };
+        r.resources.insert("astore-0.pmem".into(), pmem);
+        r
     }
 
-    fn report_json_util(
-        tput: f64,
-        p50: u64,
-        p99: u64,
-        flush_ns: u64,
-        self_ns: u64,
-        util_pct: f64,
-    ) -> String {
-        format!(
-            r#"{{
-  "schema": "vedb-bench-report/v3",
-  "name": "unit",
-  "committed": 100,
-  "aborted": 1,
-  "window_ns": 1000000,
-  "throughput_per_s": {tput},
-  "latency": {{"count": 100, "mean_ns": 10, "p50_ns": {p50}, "p95_ns": 50, "p99_ns": {p99}, "max_ns": 99}},
-  "counters": {{"core.commits": 100, "astore.appends": 40}},
-  "gauges": {{}},
-  "op_latencies": {{}},
-  "resources": {{
-    "astore-0.pmem": {{"lanes": 4, "ops": 40, "busy_ns": 400, "steady_util_pct": {util_pct}, "wait": {{"count": 40, "mean_ns": 5, "p50_ns": 4, "p95_ns": 9, "p99_ns": 9, "max_ns": 9}}, "service": {{"count": 40, "mean_ns": 10, "p50_ns": 10, "p95_ns": 10, "p99_ns": 10, "max_ns": 10}}}}
-  }},
-  "profile": {{
-    "spans": 3, "abandoned": 0, "orphans": 0, "root_total_ns": 100,
-    "ops": {{}},
-    "commit_phases": {{
-      "wal/flush": {{"count": 1, "total_ns": {flush_ns}, "share_pct": 0.00}},
-      "self": {{"count": 1, "total_ns": {self_ns}, "share_pct": 0.00}}
-    }},
-    "timelines": {{}}
-  }}
-}}"#
-        )
+    fn base() -> RunReport {
+        report(5000, 20, 80, 40, 4217)
     }
 
-    fn summary(tput: f64, p50: u64, p99: u64, flush_ns: u64, self_ns: u64) -> ReportSummary {
-        let doc = parse_json(&report_json(tput, p50, p99, flush_ns, self_ns)).unwrap();
-        ReportSummary::from_json(&doc).unwrap()
-    }
-
-    fn summary_util(util_pct: f64) -> ReportSummary {
-        let doc = parse_json(&report_json_util(5000.0, 20, 80, 40, 60, util_pct)).unwrap();
-        ReportSummary::from_json(&doc).unwrap()
-    }
-
-    #[test]
-    fn parser_handles_report_shapes() {
-        let doc = parse_json(&report_json(5000.0, 20, 80, 40, 60)).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("vedb-bench-report/v3")
-        );
-        assert_eq!(
-            doc.get("latency")
-                .and_then(|l| l.get("p99_ns"))
-                .and_then(Json::as_f64),
-            Some(80.0)
-        );
-        let esc = parse_json(r#"{"a": "x\"y\n", "b": [1, -2.5e1, true, null]}"#).unwrap();
-        assert_eq!(esc.get("a").and_then(Json::as_str), Some("x\"y\n"));
-        assert_eq!(
-            esc.get("b"),
-            Some(&Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(-25.0),
-                Json::Bool(true),
-                Json::Null
-            ]))
-        );
-        assert!(parse_json("{\"unterminated\": ").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
-
-    #[test]
-    fn summary_recomputes_phase_shares() {
-        let s = summary(5000.0, 20, 80, 40, 60);
-        assert!((s.phase_share_pct["wal/flush"] - 40.0).abs() < 1e-9);
-        assert!((s.phase_share_pct["self"] - 60.0).abs() < 1e-9);
+    /// A sweep report: counters only, no trial window.
+    fn no_trial() -> RunReport {
+        let mut r = base();
+        r.committed = 0;
+        r.window_ns = 0;
+        r.latency.p50_ns = 0;
+        r.latency.p99_ns = 0;
+        r
     }
 
     #[test]
     fn identical_reports_pass() {
-        let s = summary(5000.0, 20, 80, 40, 60);
-        let out = diff(&s, &s, &Thresholds::default());
+        let out = diff(&base(), &base(), &Thresholds::default());
         assert!(!out.regressed(), "{}", out.table);
     }
 
     #[test]
-    fn throughput_drop_beyond_threshold_regresses() {
-        let base = summary(5000.0, 20, 80, 40, 60);
-        let new = summary(4000.0, 20, 80, 40, 60); // -20% < -10% budget
-        let out = diff(&base, &new, &Thresholds::default());
+    fn throughput_drop_beyond_budget_regresses() {
+        let new = report(4000, 20, 80, 40, 4217); // -20% < -10% budget
+        let out = diff(&base(), &new, &Thresholds::default());
         assert!(out.regressed());
         assert!(out.regressions[0].contains("throughput_per_s"));
         // A drop within budget passes.
-        let ok = summary(4600.0, 20, 80, 40, 60); // -8%
-        assert!(!diff(&base, &ok, &Thresholds::default()).regressed());
+        let ok = report(4600, 20, 80, 40, 4217); // -8%
+        assert!(!diff(&base(), &ok, &Thresholds::default()).regressed());
     }
 
     #[test]
-    fn p99_rise_beyond_threshold_regresses() {
-        let base = summary(5000.0, 20, 80, 40, 60);
-        let new = summary(5000.0, 20, 120, 40, 60); // +50% > +20% budget
-        let out = diff(&base, &new, &Thresholds::default());
+    fn p99_rise_beyond_budget_regresses() {
+        let new = report(5000, 20, 120, 40, 4217); // +50% > +20% budget
+        let out = diff(&base(), &new, &Thresholds::default());
         assert!(out.regressed());
         assert!(out.regressions.iter().any(|r| r.contains("p99_ns")));
         // Throughput *gains* never regress.
-        let faster = summary(9000.0, 10, 40, 40, 60);
-        assert!(!diff(&base, &faster, &Thresholds::default()).regressed());
+        let faster = report(9000, 10, 40, 40, 4217);
+        assert!(!diff(&base(), &faster, &Thresholds::default()).regressed());
     }
 
     #[test]
-    fn phase_drift_gates_only_when_asked() {
-        let base = summary(5000.0, 20, 80, 40, 60); // flush 40%
-        let new = summary(5000.0, 20, 80, 80, 20); // flush 80%
-        assert!(!diff(&base, &new, &Thresholds::default()).regressed());
-        let strict = Thresholds {
-            max_phase_shift_pp: Some(10.0),
-            ..Thresholds::default()
-        };
-        let out = diff(&base, &new, &strict);
-        assert!(out.regressed());
-        assert!(out.regressions.iter().any(|r| r.contains("wal/flush")));
-    }
-
-    #[test]
-    fn summary_extracts_resource_utilization() {
-        let s = summary_util(42.17);
-        assert_eq!(s.resource_util_pct.len(), 1);
-        assert!((s.resource_util_pct["astore-0.pmem"] - 42.17).abs() < 1e-9);
+    fn phase_shares_are_recomputed_and_informational() {
+        let new = report(5000, 20, 80, 80, 4217); // flush 40% -> 80%
+        let out = diff(&base(), &new, &Thresholds::default());
+        assert!(!out.regressed(), "{}", out.table);
+        assert!(out.table.contains("phase.wal/flush"));
+        assert!(out.table.contains("+40.00pp"), "{}", out.table);
     }
 
     #[test]
     fn util_drift_gates_only_when_asked() {
-        let base = summary_util(40.0);
-        let new = summary_util(55.0); // +15pp
-        assert!(!diff(&base, &new, &Thresholds::default()).regressed());
+        let new = report(5000, 20, 80, 40, 5717); // +15pp
+        assert!(!diff(&base(), &new, &Thresholds::default()).regressed());
         let strict = Thresholds {
             max_util_drift_pp: Some(5.0),
             ..Thresholds::default()
         };
-        let out = diff(&base, &new, &strict);
+        let out = diff(&base(), &new, &strict);
         assert!(out.regressed());
         assert!(out
             .regressions
             .iter()
             .any(|r| r.contains("util.astore-0.pmem")));
         // The gate is symmetric: a device going idle drifts just as far.
-        let idle = summary_util(25.0); // -15pp
-        assert!(diff(&base, &idle, &strict).regressed());
+        let idle = report(5000, 20, 80, 40, 2717); // -15pp
+        assert!(diff(&base(), &idle, &strict).regressed());
         // Within budget passes.
-        let near = summary_util(43.0); // +3pp
-        assert!(!diff(&base, &near, &strict).regressed());
+        let near = report(5000, 20, 80, 40, 4517); // +3pp
+        assert!(!diff(&base(), &near, &strict).regressed());
     }
 
     #[test]
     fn counter_ratio_gate_checks_new_report_only() {
         // Fixture counters: core.commits = 100, astore.appends = 40.
-        let s = summary(5000.0, 20, 80, 40, 60);
+        let s = base();
         let pass = Thresholds {
             counter_ratio_lt: vec![("astore.appends".into(), "core.commits".into(), 0.5)],
             ..Thresholds::default()
@@ -793,7 +410,7 @@ mod tests {
 
     #[test]
     fn counter_lt_gate_checks_new_report_only() {
-        let s = summary(5000.0, 20, 80, 40, 60);
+        let s = base();
         let pass = Thresholds {
             counter_lt: vec![("astore.appends".into(), "core.commits".into())],
             ..Thresholds::default()
@@ -809,27 +426,20 @@ mod tests {
     }
 
     #[test]
-    fn util_gate_stays_quiet_against_pre_v3_baseline() {
-        // A v2 baseline has no `resources` section; stripping it from the
-        // fixture models that. The new report's rows render informationally
-        // but must not trip the gate (there is nothing to anchor drift to).
-        let raw = report_json_util(5000.0, 20, 80, 40, 60, 40.0);
-        let start = raw.find("  \"resources\"").unwrap();
-        let end = raw[start..]
-            .find("\n  },\n")
-            .map(|e| start + e + 6)
-            .unwrap();
-        let stripped = format!("{}{}", &raw[..start], &raw[end..]);
-        let doc = parse_json(&stripped).unwrap();
-        let base = ReportSummary::from_json(&doc).unwrap();
-        assert!(base.resource_util_pct.is_empty());
-        let new = summary_util(40.0);
-        let strict = Thresholds {
-            max_util_drift_pp: Some(5.0),
-            ..Thresholds::default()
-        };
-        let out = diff(&base, &new, &strict);
+    fn reports_without_trial_windows_print_not_applicable() {
+        let out = diff(&no_trial(), &no_trial(), &Thresholds::default());
         assert!(!out.regressed(), "{}", out.table);
-        assert!(out.table.contains("util.astore-0.pmem"));
+        for metric in ["throughput_per_s", "latency.p50_ns", "latency.p99_ns"] {
+            let line = out.table.lines().find(|l| l.starts_with(metric)).unwrap();
+            assert!(line.ends_with("  n/a (no trial window)"), "{line}");
+        }
+        assert!(!out.table.contains("  ok"), "{}", out.table);
+    }
+
+    #[test]
+    fn losing_the_trial_window_regresses() {
+        let out = diff(&base(), &no_trial(), &Thresholds::default());
+        assert!(out.regressed(), "{}", out.table);
+        assert!(out.regressions[0].contains("throughput_per_s"));
     }
 }

@@ -7,7 +7,6 @@
 //! is immediate. EXPERIMENTS.md records the outputs.
 
 pub mod diff;
-pub mod flame;
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -25,7 +25,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 use vedb_astore::client::AStoreClient;
 use vedb_astore::cm::ClusterManager;
-use vedb_astore::{AStoreServer, Lsn, PageId, RetryPolicy, SegmentId, SegmentRing};
+use vedb_astore::{AStoreServer, Lsn, PageId, SegmentId, SegmentRing};
 use vedb_blobstore::{BlobGroup, BlobGroupConfig, BlobServer};
 use vedb_pagestore::page::{Page, PageType};
 use vedb_pagestore::redo::{PageOp, RedoRecord};
@@ -77,17 +77,6 @@ pub struct DbConfig {
     pub ring_segments: usize,
     /// Extended Buffer Pool (None = disabled).
     pub ebp: Option<EbpConfig>,
-    /// Real-time lock wait budget (deadlock breaker).
-    pub lock_timeout: Duration,
-    /// Checkpoint (ship + truncate the log) automatically once this many
-    /// log bytes have accumulated since the last truncation. veDB's
-    /// storage layer applies REDO continuously, so the log's working
-    /// window stays small (§IV: "the capacity reserved for REDO logs in
-    /// AStore for each database instance is ... limited to GB level").
-    pub auto_checkpoint_bytes: u64,
-    /// Fault-recovery policy for the engine's AStore client: retries,
-    /// backoff, lease renewal and replica failover all run under this.
-    pub retry: RetryPolicy,
     /// Commit-path flush policy: per-commit flushes (default) or
     /// group-commit consolidation (see [`FlushPolicy`]).
     pub flush: FlushPolicy,
@@ -101,9 +90,6 @@ impl Default for DbConfig {
             log: LogBackendKind::AStore,
             ring_segments: 8,
             ebp: None,
-            lock_timeout: Duration::from_millis(200),
-            auto_checkpoint_bytes: 2 << 20,
-            retry: RetryPolicy::default(),
             flush: FlushPolicy::PerCommit,
         }
     }
@@ -156,24 +142,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Real-time lock wait budget.
-    pub fn lock_timeout(mut self, t: Duration) -> Self {
-        self.cfg.lock_timeout = t;
-        self
-    }
-
-    /// Auto-checkpoint threshold in log bytes.
-    pub fn auto_checkpoint_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.auto_checkpoint_bytes = bytes;
-        self
-    }
-
-    /// Fault-recovery policy for the AStore client.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.retry = policy;
-        self
-    }
-
     /// Commit-path flush policy (per-commit or group-commit consolidation).
     pub fn flush_policy(mut self, policy: FlushPolicy) -> Self {
         self.cfg.flush = policy;
@@ -200,9 +168,6 @@ impl DbConfigBuilder {
                 "ring_segments must be at least 2, got {}",
                 c.ring_segments
             )));
-        }
-        if c.lock_timeout.is_zero() {
-            return Err(EngineError::Config("lock_timeout must be non-zero".into()));
         }
         if let Some(ebp) = &c.ebp {
             if ebp.capacity_bytes == 0 {
@@ -356,6 +321,16 @@ struct MetaState {
 /// Bounded retries for transient stale-replica page reads (`get_frame`).
 const PAGE_READ_RETRIES: u32 = 3;
 
+/// Real-time lock wait budget (the lock manager's deadlock breaker).
+const LOCK_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// Checkpoint (ship + truncate the log) automatically once this many log
+/// bytes have accumulated since the last truncation. veDB's storage layer
+/// applies REDO continuously, so the log's working window stays small
+/// (§IV: "the capacity reserved for REDO logs in AStore for each database
+/// instance is ... limited to GB level").
+const AUTO_CHECKPOINT_BYTES: u64 = 2 << 20;
+
 /// The meta page's identity.
 pub const META_PAGE: PageId = PageId {
     space_no: 0,
@@ -480,7 +455,7 @@ impl Db {
                 Arc::clone(&fabric.env.engine_nic),
                 &fabric.env.metrics,
             );
-            Some(AStoreClient::connect_with_policy(
+            Some(AStoreClient::connect(
                 ctx,
                 Arc::clone(&fabric.cm),
                 ep,
@@ -488,7 +463,6 @@ impl Db {
                 fabric.env.model.clone(),
                 ctx.client_id,
                 VTime::from_millis(50),
-                cfg.retry,
             ))
         } else {
             None
@@ -561,7 +535,7 @@ impl Db {
             ebp,
             wal,
             pagestore: Arc::clone(&fabric.pagestore),
-            locks: LockManager::with_metrics(64, cfg.lock_timeout, &fabric.env.metrics),
+            locks: LockManager::with_metrics(64, LOCK_TIMEOUT, &fabric.env.metrics),
             stats: DbStats::register(&fabric.env.metrics),
             astore_client,
             catalog: RwLock::new(Catalog::new()),
@@ -1119,14 +1093,15 @@ impl Db {
         self.shipped_lsn.load(Ordering::Acquire)
     }
 
-    /// Checkpoint when the log's working window exceeds the configured
-    /// budget (invoked on the commit path; cheap when nothing to do).
+    /// Checkpoint when the log's working window exceeds
+    /// [`AUTO_CHECKPOINT_BYTES`] (invoked on the commit path; cheap when
+    /// nothing to do).
     fn maybe_auto_checkpoint(&self, ctx: &mut SimCtx) -> Result<()> {
         let used = self
             .wal
             .next_lsn()
             .saturating_sub(self.last_truncate.load(Ordering::Acquire));
-        if used > self.cfg.auto_checkpoint_bytes {
+        if used > AUTO_CHECKPOINT_BYTES {
             self.checkpoint(ctx)?;
         }
         Ok(())

@@ -8,9 +8,8 @@
 //!
 //! Writes are append-only records in EBP segments; overwriting a page makes
 //! the previous image *garbage*, tracked per segment. Segments whose
-//! garbage ratio crosses a threshold are **compacted** (live records moved
-//! to the active segment) or, if compaction is disabled, released outright
-//! — dropping some live pages with them, exactly as the paper describes.
+//! garbage ratio crosses a threshold are **compacted**: live records move
+//! to the active segment and the old segment is released.
 //!
 //! Capacity policies (§V-C): `Flat` — one LRU space for everyone;
 //! `Priority` — spaces carry priorities, and a page may only evict pages of
@@ -42,6 +41,10 @@ use crate::Result;
 /// One engine → AStore server request (page→LSN batch, recovery scan).
 const SERVER_RPC: VTime = VTime::from_micros(120);
 
+/// Page→LSN mappings buffered before a batch is shipped to the AStore
+/// servers.
+const LSN_BATCH_SIZE: usize = 64;
+
 /// EBP capacity management policy (§V-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EbpPolicy {
@@ -61,15 +64,10 @@ pub struct EbpConfig {
     pub policy: EbpPolicy,
     /// Index/LRU shards.
     pub shards: usize,
-    /// Whether background compaction is enabled.
-    pub compaction: bool,
-    /// Garbage ratio above which a frozen segment is compacted/released.
+    /// Garbage ratio above which a frozen segment is compacted.
     pub compaction_garbage_ratio: f64,
     /// Per-space priority (Priority policy; default 0).
     pub space_priority: HashMap<u32, u8>,
-    /// Page→LSN mappings buffered before a batch is shipped to the
-    /// AStore servers.
-    pub lsn_batch_size: usize,
 }
 
 impl Default for EbpConfig {
@@ -78,10 +76,8 @@ impl Default for EbpConfig {
             capacity_bytes: 64 << 20,
             policy: EbpPolicy::Flat,
             shards: 8,
-            compaction: true,
             compaction_garbage_ratio: 0.5,
             space_priority: HashMap::new(),
-            lsn_batch_size: 64,
         }
     }
 }
@@ -468,7 +464,7 @@ impl Ebp {
         let flush = {
             let mut batch = self.lsn_batch.lock();
             batch.push((pid, lsn));
-            batch.len() >= self.cfg.lsn_batch_size
+            batch.len() >= LSN_BATCH_SIZE
         };
         if flush {
             self.flush_lsn_batch(ctx);
@@ -488,7 +484,7 @@ impl Ebp {
         }
     }
 
-    /// Compact (or release) frozen segments whose garbage ratio crossed the
+    /// Compact frozen segments whose garbage ratio crossed the
     /// threshold (§V-D). Returns the number of segments processed.
     pub fn maybe_compact(&self, ctx: &mut SimCtx) -> Result<usize> {
         // Re-admission below routes through `write_page`, which ends with a
@@ -523,45 +519,26 @@ impl Ebp {
         candidates.sort_unstable_by_key(|(id, _)| *id);
         let mut processed = 0;
         for (seg_id, handle) in candidates {
-            if self.cfg.compaction {
-                // Move live records into the active segment.
-                let mut live: Vec<(PageId, Entry)> = self
-                    .shards
-                    .iter()
-                    .flat_map(|s| {
-                        s.lock()
-                            .entries
-                            .iter()
-                            .filter(|(_, e)| e.seg.id == seg_id)
-                            .map(|(p, e)| (*p, *e))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
-                live.sort_unstable_by_key(|(pid, _)| *pid);
-                for (pid, e) in live {
-                    if let Ok(bytes) = self.client.read(ctx, e.seg, e.offset, e.len as usize) {
-                        if let Ok(page) = Page::from_bytes(&bytes) {
-                            // Re-admit at the same LSN (write_page drops the
-                            // old entry and appends to the active segment).
-                            self.write_page(ctx, pid, &page, e.lsn)?;
-                        }
-                    }
-                }
-            } else {
-                // Release directly, dropping live pages with it (§V-D).
-                for s in &self.shards {
-                    let mut shard = s.lock();
-                    let dead: Vec<PageId> = shard
+            // Move live records into the active segment.
+            let mut live: Vec<(PageId, Entry)> = self
+                .shards
+                .iter()
+                .flat_map(|s| {
+                    s.lock()
                         .entries
                         .iter()
                         .filter(|(_, e)| e.seg.id == seg_id)
-                        .map(|(p, _)| *p)
-                        .collect();
-                    for p in dead {
-                        if let Some(e) = shard.entries.remove(&p) {
-                            shard.recency.remove(&e.touch);
-                            self.live_bytes.fetch_sub(e.len as u64, Ordering::Relaxed);
-                        }
+                        .map(|(p, e)| (*p, *e))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            live.sort_unstable_by_key(|(pid, _)| *pid);
+            for (pid, e) in live {
+                if let Ok(bytes) = self.client.read(ctx, e.seg, e.offset, e.len as usize) {
+                    if let Ok(page) = Page::from_bytes(&bytes) {
+                        // Re-admit at the same LSN (write_page drops the
+                        // old entry and appends to the active segment).
+                        self.write_page(ctx, pid, &page, e.lsn)?;
                     }
                 }
             }
@@ -859,7 +836,6 @@ mod tests {
         let cfg = EbpConfig {
             capacity_bytes: 4 * 16 * 1024,
             shards: 1,
-            compaction: true,
             compaction_garbage_ratio: 0.4,
             ..Default::default()
         };

@@ -73,7 +73,7 @@ pub fn recover(
         Arc::clone(&fabric.env.engine_nic),
         &fabric.env.metrics,
     );
-    let client = AStoreClient::connect_with_policy(
+    let client = AStoreClient::connect(
         ctx,
         Arc::clone(&fabric.cm),
         ep,
@@ -81,7 +81,6 @@ pub fn recover(
         fabric.env.model.clone(),
         ctx.client_id,
         VTime::from_millis(50),
-        cfg.retry,
     );
     let ring = SegmentRing::recover(ctx, Arc::clone(&client), ring_segment_ids)?;
     let log_segments = ring.segment_ids();

@@ -26,6 +26,7 @@
 pub mod cluster;
 pub mod contention;
 pub mod fault;
+pub mod json;
 pub mod latency;
 pub mod metrics;
 pub mod profile;

@@ -28,7 +28,8 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::contention::{LockProfile, DEFAULT_TOP_K};
+use crate::contention::{HotKeyStat, LockProfile, TableLockStat, DEFAULT_TOP_K};
+use crate::json::{escape, Json};
 use crate::metrics::MetricsRegistry;
 use crate::trace::TraceEvent;
 
@@ -78,7 +79,7 @@ pub struct FaultEvent {
 
 /// The folded trace: per-op aggregates, commit-phase accounting, and
 /// timeline snapshots (see module docs).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Profile {
     /// Spans in the ring when the profile was taken (incl. abandoned).
     pub spans: u64,
@@ -254,7 +255,8 @@ impl Profile {
             first = false;
             let _ = write!(
                 out,
-                "\n{indent}    \"{k}\": {{\"count\": {}, \"total_ns\": {}, \"self_ns\": {}, \"self_share_pct\": {}}}",
+                "\n{indent}    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"self_ns\": {}, \"self_share_pct\": {}}}",
+                escape(k),
                 v.count,
                 v.total_ns,
                 v.self_ns,
@@ -271,7 +273,8 @@ impl Profile {
             first = false;
             let _ = write!(
                 out,
-                "\n{indent}    \"{k}\": {{\"count\": {}, \"total_ns\": {}, \"share_pct\": {}}}",
+                "\n{indent}    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"share_pct\": {}}}",
+                escape(k),
                 v.count,
                 v.total_ns,
                 pct(v.total_ns, commit_total),
@@ -286,7 +289,8 @@ impl Profile {
             first = false;
             let _ = write!(
                 out,
-                "\n{indent}    \"{k}\": {{\"bucket_ns\": {}, \"samples\": {{",
+                "\n{indent}    \"{}\": {{\"bucket_ns\": {}, \"samples\": {{",
+                escape(k),
                 tl.bucket_ns
             );
             let mut first_s = true;
@@ -309,10 +313,11 @@ impl Profile {
             first = false;
             let _ = write!(
                 out,
-                "\n{indent}      \"{label}\": {{\"space\": {}, \"acquires\": {}, \"waits\": {}, \
+                "\n{indent}      \"{}\": {{\"space\": {}, \"acquires\": {}, \"waits\": {}, \
                  \"wait_total_ns\": {}, \"wait_p99_ns\": {}, \"wait_max_ns\": {}, \
                  \"holds\": {}, \"hold_total_ns\": {}, \"hold_p50_ns\": {}, \
                  \"hold_p99_ns\": {}, \"hold_max_ns\": {}}}",
+                escape(label),
                 t.space,
                 t.acquires,
                 t.waits,
@@ -337,7 +342,12 @@ impl Profile {
                 out,
                 "\n{indent}      {{\"table\": \"{}\", \"space\": {}, \"key\": \"{}\", \
                  \"waits\": {}, \"wait_total_ns\": {}, \"wait_max_ns\": {}}}",
-                k.table, k.space, k.key_hex, k.waits, k.wait_total_ns, k.wait_max_ns,
+                escape(&k.table),
+                k.space,
+                escape(&k.key_hex),
+                k.waits,
+                k.wait_total_ns,
+                k.wait_max_ns,
             );
         }
         let _ = write!(out, "\n{indent}    ]\n{indent}  }},");
@@ -351,7 +361,9 @@ impl Profile {
             let _ = write!(
                 out,
                 "\n{indent}    {{\"at_ns\": {}, \"op\": \"{}\", \"node\": {}}}",
-                f.at_ns, f.op, f.node,
+                f.at_ns,
+                escape(&f.op),
+                f.node,
             );
         }
         let _ = write!(out, "\n{indent}  ],\n{indent}  \"folded\": {{");
@@ -361,9 +373,92 @@ impl Profile {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\n{indent}    \"{stack}\": {w}");
+            let _ = write!(out, "\n{indent}    \"{}\": {w}", escape(stack));
         }
         let _ = write!(out, "\n{indent}  }}\n{indent}}}");
+    }
+
+    /// Read a profile back from its [`write_json`](Self::write_json)
+    /// encoding; the `*_share_pct` shares are derived and not read.
+    pub(crate) fn from_json(j: &Json) -> Result<Profile, String> {
+        let table = |t: &Json| -> Result<TableLockStat, String> {
+            Ok(TableLockStat {
+                space: t.field("space", Json::u32)?,
+                acquires: t.field("acquires", Json::u64)?,
+                waits: t.field("waits", Json::u64)?,
+                wait_total_ns: t.field("wait_total_ns", Json::u64)?,
+                wait_p99_ns: t.field("wait_p99_ns", Json::u64)?,
+                wait_max_ns: t.field("wait_max_ns", Json::u64)?,
+                holds: t.field("holds", Json::u64)?,
+                hold_total_ns: t.field("hold_total_ns", Json::u64)?,
+                hold_p50_ns: t.field("hold_p50_ns", Json::u64)?,
+                hold_p99_ns: t.field("hold_p99_ns", Json::u64)?,
+                hold_max_ns: t.field("hold_max_ns", Json::u64)?,
+            })
+        };
+        let hot_key = |k: &Json| -> Result<HotKeyStat, String> {
+            Ok(HotKeyStat {
+                table: k.field("table", Json::str)?.to_string(),
+                space: k.field("space", Json::u32)?,
+                key_hex: k.field("key", Json::str)?.to_string(),
+                waits: k.field("waits", Json::u64)?,
+                wait_total_ns: k.field("wait_total_ns", Json::u64)?,
+                wait_max_ns: k.field("wait_max_ns", Json::u64)?,
+            })
+        };
+        let timeline = |t: &Json| -> Result<TimelineSnapshot, String> {
+            Ok(TimelineSnapshot {
+                bucket_ns: t.field("bucket_ns", Json::u64)?,
+                samples: t
+                    .field("samples", |s| s.map(Json::i64))?
+                    .into_iter()
+                    .map(|(b, v)| {
+                        b.parse()
+                            .map(|b| (b, v))
+                            .map_err(|_| format!("bucket `{b}` is not an index"))
+                    })
+                    .collect::<Result<_, String>>()?,
+            })
+        };
+        let fault = |f: &Json| -> Result<FaultEvent, String> {
+            Ok(FaultEvent {
+                at_ns: f.field("at_ns", Json::u64)?,
+                op: f.field("op", Json::str)?.to_string(),
+                node: f.field("node", Json::u64)?,
+            })
+        };
+        Ok(Profile {
+            spans: j.field("spans", Json::u64)?,
+            abandoned: j.field("abandoned", Json::u64)?,
+            orphans: j.field("orphans", Json::u64)?,
+            root_total_ns: j.field("root_total_ns", Json::u64)?,
+            ops: j.field("ops", |m| {
+                m.map(|o| {
+                    Ok(OpStat {
+                        count: o.field("count", Json::u64)?,
+                        total_ns: o.field("total_ns", Json::u64)?,
+                        self_ns: o.field("self_ns", Json::u64)?,
+                    })
+                })
+            })?,
+            commit_phases: j.field("commit_phases", |m| {
+                m.map(|p| {
+                    Ok(PhaseStat {
+                        count: p.field("count", Json::u64)?,
+                        total_ns: p.field("total_ns", Json::u64)?,
+                    })
+                })
+            })?,
+            timelines: j.field("timelines", |m| m.map(timeline))?,
+            locks: j.field("locks", |l| {
+                Ok(LockProfile {
+                    tables: l.field("tables", |m| m.map(table))?,
+                    top: l.field("top", |a| a.arr()?.iter().map(hot_key).collect())?,
+                })
+            })?,
+            fault_events: j.field("fault_events", |a| a.arr()?.iter().map(fault).collect())?,
+            folded: j.field("folded", |m| m.map(Json::u64))?,
+        })
     }
 }
 

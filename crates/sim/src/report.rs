@@ -9,12 +9,22 @@
 //! regression test asserts, and `crates/bench` writes these out as
 //! `BENCH_<figure>.json` artifacts so every PR leaves a machine-readable perf
 //! baseline behind.
+//!
+//! This module is the only owner of that format: [`RunReport::from_json`]
+//! is the exact inverse of [`RunReport::to_json`], so every tool that
+//! inspects a committed report (`report_diff`, `report_flame`) works on a
+//! `RunReport`, never on raw JSON.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{escape, parse_json, Json};
 use crate::metrics::{LatencyRecorder, MetricsRegistry, Timeline, TrialResult};
 use crate::profile::Profile;
+
+/// The `schema` tag [`RunReport::to_json`] writes and
+/// [`RunReport::from_json`] accepts.
+const SCHEMA: &str = "vedb-bench-report/v3";
 
 /// Five-number summary of a latency histogram, in integer nanoseconds.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,6 +62,17 @@ impl LatencySummary {
             "{{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
             self.count, self.mean_ns, self.p50_ns, self.p95_ns, self.p99_ns, self.max_ns
         );
+    }
+
+    fn from_json(j: &Json) -> Result<Self, String> {
+        Ok(LatencySummary {
+            count: j.field("count", Json::u64)?,
+            mean_ns: j.field("mean_ns", Json::u64)?,
+            p50_ns: j.field("p50_ns", Json::u64)?,
+            p95_ns: j.field("p95_ns", Json::u64)?,
+            p99_ns: j.field("p99_ns", Json::u64)?,
+            max_ns: j.field("max_ns", Json::u64)?,
+        })
     }
 }
 
@@ -100,7 +121,7 @@ fn steady_util_x100(tl: &Timeline, lanes: i64) -> u64 {
 }
 
 /// One benchmark run, frozen for export (see module docs).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Report name; becomes the `<figure>` part of `BENCH_<figure>.json`.
     pub name: String,
@@ -220,7 +241,7 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"vedb-bench-report/v3\",");
+        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
         let _ = writeln!(out, "  \"name\": \"{}\",", escape(&self.name));
         let _ = writeln!(out, "  \"committed\": {},", self.committed);
         let _ = writeln!(out, "  \"aborted\": {},", self.aborted);
@@ -284,6 +305,47 @@ impl RunReport {
         out.push_str("\n}\n");
         out
     }
+
+    /// Read a report back from its [`to_json`](Self::to_json) encoding:
+    /// `to_json(from_json(s)) == s` for every report the writer produced.
+    /// Derived numbers (`throughput_per_s`, the `*_share_pct` shares) are
+    /// recomputed from the integers they derive from, not read. Any schema
+    /// other than the one the writer emits is rejected.
+    pub fn from_json(src: &str) -> Result<RunReport, String> {
+        let doc = parse_json(src)?;
+        let schema = doc.field("schema", Json::str)?;
+        if schema != SCHEMA {
+            return Err(format!(
+                "unsupported report schema `{schema}` (expected `{SCHEMA}`)"
+            ));
+        }
+        let resource = |r: &Json| -> Result<ResourceSummary, String> {
+            Ok(ResourceSummary {
+                lanes: r.field("lanes", Json::i64)?,
+                ops: r.field("ops", Json::u64)?,
+                busy_ns: r.field("busy_ns", Json::u64)?,
+                // Written as `{}.{:02}` from hundredths, so rounding the
+                // scaled value recovers the integer exactly.
+                steady_util_x100: r.field("steady_util_pct", |u| {
+                    u.f64().map(|pct| (pct * 100.0).round() as u64)
+                })?,
+                wait: r.field("wait", LatencySummary::from_json)?,
+                service: r.field("service", LatencySummary::from_json)?,
+            })
+        };
+        Ok(RunReport {
+            name: doc.field("name", Json::str)?.to_string(),
+            committed: doc.field("committed", Json::u64)?,
+            aborted: doc.field("aborted", Json::u64)?,
+            window_ns: doc.field("window_ns", Json::u64)?,
+            latency: doc.field("latency", LatencySummary::from_json)?,
+            counters: doc.field("counters", |m| m.map(Json::u64))?,
+            gauges: doc.field("gauges", |m| m.map(Json::i64))?,
+            op_latencies: doc.field("op_latencies", |m| m.map(LatencySummary::from_json))?,
+            resources: doc.field("resources", |m| m.map(resource))?,
+            profile: doc.field("profile", Profile::from_json)?,
+        })
+    }
 }
 
 impl RunReport {
@@ -295,13 +357,17 @@ impl RunReport {
         use crate::time::VTime;
         let ns = |v: u64| format!("{}", VTime::from_nanos(v));
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== vedb-top: {} ({:.0} op/s over {}) ==",
-            self.name,
-            self.throughput(),
-            VTime::from_nanos(self.window_ns),
-        );
+        if self.window_ns == 0 {
+            let _ = writeln!(out, "== vedb-top: {} (no trial window) ==", self.name);
+        } else {
+            let _ = writeln!(
+                out,
+                "== vedb-top: {} ({:.0} op/s over {}) ==",
+                self.name,
+                self.throughput(),
+                VTime::from_nanos(self.window_ns),
+            );
+        }
 
         let mut res: Vec<(&String, &ResourceSummary)> = self.resources.iter().collect();
         res.sort_by(|a, b| {
@@ -380,26 +446,6 @@ impl RunReport {
         }
         out
     }
-}
-
-/// Minimal JSON string escape; metric keys are `[a-z0-9._-]` but report names
-/// are caller-supplied.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -483,9 +529,11 @@ mod tests {
         assert!(json.contains("\"steady_util_pct\""));
     }
 
-    #[test]
-    fn top_summary_is_one_screen_and_covers_sections() {
+    /// A traced registry touching every report section: a resource, lock
+    /// contention, a span, a fault instant and a timeline.
+    fn traced_registry() -> MetricsRegistry {
         use crate::resource::Resource;
+        use crate::time::SimCtx;
         let reg = sample_registry();
         let r = Resource::with_metrics("engine.cpu", 1, &reg);
         r.acquire(VTime::ZERO, VTime::from_micros(50));
@@ -493,20 +541,68 @@ mod tests {
         c.set_label(3, "warehouse");
         c.note_acquire(3);
         c.note_wait(3, b"\x01", VTime::from_micros(9));
+        c.note_hold(3, VTime::from_micros(30));
         reg.trace().enable();
-        {
-            use crate::time::SimCtx;
-            let mut ctx = SimCtx::new(1, 7);
-            let sp = reg.trace().span(&ctx, "core", "commit");
-            ctx.advance(VTime::from_micros(4));
-            sp.finish(&ctx);
-        }
+        let mut ctx = SimCtx::new(1, 7);
+        let sp = reg.trace().span(&ctx, "core", "commit");
+        ctx.advance(VTime::from_micros(4));
+        sp.finish(&ctx);
         reg.trace()
             .instant(VTime::from_micros(2), "fault", "crash", 1);
+        reg.trace().disable();
+        reg.timeline("pagestore", "apply_lag_records")
+            .record(VTime::from_millis(3), -2);
+        reg
+    }
+
+    #[test]
+    fn from_json_inverts_to_json() {
+        let reg = traced_registry();
+        // A caller-supplied label that needs escaping.
+        reg.lock_contention().set_label(5, "idx \"a\\b\"");
+        reg.lock_contention().note_acquire(5);
+        let mut trial = TrialResult::new(VTime::from_millis(10));
+        trial.committed = 42;
+        trial.aborted = 1;
+        trial.latency.record(VTime::from_micros(80));
+        for rep in [
+            RunReport::collect("traced \"run\"", Some(&trial), &reg),
+            RunReport::collect("no-trial", None, &reg),
+        ] {
+            assert!(!rep.profile.is_empty());
+            assert_eq!(rep.profile.fault_events.len(), 1);
+            assert_eq!(rep.profile.locks.top.len(), 1);
+            let back = RunReport::from_json(&rep.to_json()).unwrap();
+            assert_eq!(back, rep);
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_other_schemas() {
+        let json = RunReport::collect("old", None, &sample_registry()).to_json();
+        let err = RunReport::from_json(&json.replace("/v3", "/v2")).unwrap_err();
+        assert!(err.contains("vedb-bench-report/v2"), "{err}");
+        assert!(RunReport::from_json("{}").is_err());
+    }
+
+    #[test]
+    fn top_summary_names_a_missing_trial_window() {
+        let rep = RunReport::collect("group_commit", None, &sample_registry());
+        let top = rep.top_summary();
+        assert!(
+            top.starts_with("== vedb-top: group_commit (no trial window) ==\n"),
+            "{top}"
+        );
+    }
+
+    #[test]
+    fn top_summary_is_one_screen_and_covers_sections() {
+        let reg = traced_registry();
         let mut trial = TrialResult::new(VTime::from_millis(10));
         trial.committed = 42;
         let rep = RunReport::collect("smoke", Some(&trial), &reg);
         let top = rep.top_summary();
+        assert!(top.starts_with("== vedb-top: smoke (4200 op/s over 10.000ms) ==\n"));
         assert!(top.contains("vedb-top: smoke"));
         assert!(top.contains("engine.cpu"));
         assert!(top.contains("top spans by self time"));
@@ -518,7 +614,6 @@ mod tests {
         // integer self-weight — the inferno folded-line contract.
         let folded = rep.folded_stacks();
         assert_eq!(folded, "core/commit 4000\n");
-        reg.trace().disable();
     }
 
     #[test]
