@@ -39,7 +39,10 @@
 //! Only when the policy is exhausted does a write surface
 //! [`AStoreError::ReplicaFailed`] — at which point the segment is frozen
 //! and the ring layer rolls to a fresh one. All recovery activity is
-//! published through [`RecoveryCounters`] (see `vedb_sim::metrics`).
+//! counted in the deployment registry: `astore.retries`,
+//! `astore.retry_backoff_ns`, `astore.read_failovers`,
+//! `astore.route_refreshes` and `astore.segments_replaced` here, and the
+//! CM's `astore.lease_renewals` and `astore.cm_repairs`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,10 +51,7 @@ use parking_lot::Mutex;
 use vedb_rdma::{RdmaEndpoint, RemoteMr};
 use vedb_sim::fault::NodeId;
 use vedb_sim::trace::TraceLog;
-use vedb_sim::{
-    Counter, LatencyModel, LatencyRecorder, MetricsRegistry, RecoveryCounters, Resource, SimCtx,
-    VTime,
-};
+use vedb_sim::{Counter, LatencyModel, LatencyRecorder, MetricsRegistry, Resource, SimCtx, VTime};
 
 use crate::cm::{ClusterManager, Lease, Route};
 use crate::layout::SegmentClass;
@@ -81,7 +81,7 @@ struct SegMeta {
 
 /// Data-path metric handles (component `"astore"`), cached at connect time
 /// from the CM's registry.
-struct ClientStats {
+pub(crate) struct ClientStats {
     registry: Arc<MetricsRegistry>,
     appends: Arc<Counter>,
     /// Records carried by appends; `batch_records / appends` is the
@@ -92,6 +92,14 @@ struct ClientStats {
     read_bytes: Arc<Counter>,
     append_lat: Arc<LatencyRecorder>,
     read_lat: Arc<LatencyRecorder>,
+    /// Recovery activity: retried operations and the virtual time slept in
+    /// backoff before them, reads served by a non-first replica, forced
+    /// route re-resolutions, and ring segments rolled to a replacement.
+    retries: Arc<Counter>,
+    retry_backoff_ns: Arc<Counter>,
+    read_failovers: Arc<Counter>,
+    route_refreshes: Arc<Counter>,
+    pub(crate) segments_replaced: Arc<Counter>,
     trace: Arc<TraceLog>,
 }
 
@@ -105,6 +113,11 @@ impl ClientStats {
             read_bytes: registry.counter("astore", "read_bytes"),
             append_lat: registry.latency("astore", "append"),
             read_lat: registry.latency("astore", "read"),
+            retries: registry.counter("astore", "retries"),
+            retry_backoff_ns: registry.counter("astore", "retry_backoff_ns"),
+            read_failovers: registry.counter("astore", "read_failovers"),
+            route_refreshes: registry.counter("astore", "route_refreshes"),
+            segments_replaced: registry.counter("astore", "segments_replaced"),
             trace: Arc::clone(registry.trace()),
             registry,
         }
@@ -120,8 +133,7 @@ pub struct AStoreClient {
     client_id: u64,
     refresh_period: VTime,
     policy: RetryPolicy,
-    counters: Arc<RecoveryCounters>,
-    stats: ClientStats,
+    pub(crate) stats: ClientStats,
     lease: Mutex<Lease>,
     /// Per-node connection state: registered MR + server reference.
     nodes: Mutex<HashMap<NodeId, (RemoteMr, Arc<AStoreServer>)>>,
@@ -172,8 +184,6 @@ impl AStoreClient {
             .into_iter()
             .map(|s| (s.node(), (s.mr(), s)))
             .collect();
-        let counters = Arc::new(RecoveryCounters::new());
-        cm.attach_recovery_counters(Arc::clone(&counters));
         let stats = ClientStats::register(cm.metrics());
         Arc::new(AStoreClient {
             cm,
@@ -183,7 +193,6 @@ impl AStoreClient {
             client_id,
             refresh_period,
             policy,
-            counters,
             stats,
             lease: Mutex::new(lease),
             nodes: Mutex::new(nodes),
@@ -212,11 +221,6 @@ impl AStoreClient {
         self.policy
     }
 
-    /// Recovery telemetry: retries, failovers, renewals, repairs.
-    pub fn recovery_counters(&self) -> &Arc<RecoveryCounters> {
-        &self.counters
-    }
-
     /// The deployment metric registry this client publishes into (inherited
     /// from the CM at connect time); engine-side layers built on top of the
     /// client (EBP) register their own metrics here.
@@ -235,8 +239,8 @@ impl AStoreClient {
     fn sleep_backoff(&self, ctx: &mut SimCtx, retry: u32) {
         let slept = self.policy.backoff(retry);
         ctx.advance(slept);
-        self.counters.note_retry();
-        self.counters.note_backoff(slept);
+        self.stats.retries.inc();
+        self.stats.retry_backoff_ns.add(slept.as_nanos());
     }
 
     /// Run a lease-bearing CM operation under the retry policy. A fencing
@@ -263,7 +267,6 @@ impl AStoreClient {
                     // Renew the *same* epoch; never re-acquire (that would
                     // mint a new epoch and bypass the §IV-C fence).
                     self.cm.renew_lease(ctx, lease)?;
-                    self.counters.note_lease_renewal();
                     renewed = true;
                 }
                 Err(e) if e.is_retryable() && self.policy.allows(retry) => {
@@ -376,7 +379,7 @@ impl AStoreClient {
     /// Re-resolve a route from the CM unconditionally (recovery path).
     fn force_refresh_route(&self, ctx: &mut SimCtx, seg: SegmentId) -> Result<Route> {
         let route = self.resolve(ctx, seg)?;
-        self.counters.note_route_refresh();
+        self.stats.route_refreshes.inc();
         Ok(route)
     }
 
@@ -774,7 +777,7 @@ impl AStoreClient {
                 match self.ep.read(ctx, &mr, loc.offset + offset, len) {
                     Ok(data) => {
                         if i > 0 {
-                            self.counters.note_read_failover();
+                            self.stats.read_failovers.inc();
                         }
                         self.stats.reads.inc();
                         self.stats.read_bytes.add(len as u64);
@@ -894,6 +897,12 @@ pub(crate) mod tests {
         pub client: Arc<AStoreClient>,
     }
 
+    /// Current value of the `astore.<name>` counter in the cluster's
+    /// registry.
+    pub(crate) fn count(tc: &TestCluster, name: &'static str) -> u64 {
+        tc.client.metrics().counter("astore", name).get()
+    }
+
     pub(crate) fn test_cluster(ctx: &mut SimCtx) -> TestCluster {
         test_cluster_with_policy(ctx, RetryPolicy::default())
     }
@@ -904,6 +913,7 @@ pub(crate) mod tests {
             Arc::clone(&env.faults),
             VTime::from_secs(30),
             VTime::from_secs(1),
+            Arc::clone(&env.metrics),
         );
         let servers: Vec<Arc<AStoreServer>> = env
             .astore_nodes
@@ -1076,11 +1086,10 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(off, 6);
         assert!(!tc.client.is_frozen(seg));
-        let c = tc.client.recovery_counters();
-        assert!(c.retries() >= 1, "recovery must have retried: {c:?}");
+        assert!(count(&tc, "retries") >= 1, "recovery must have retried");
         assert!(
-            c.route_refreshes() >= 1,
-            "recovery must have re-resolved the route: {c:?}"
+            count(&tc, "route_refreshes") >= 1,
+            "recovery must have re-resolved the route"
         );
         let new_route = tc.client.cached_route(seg.id).unwrap();
         assert_eq!(new_route.replicas.len(), 2, "route shrunk to the survivors");
@@ -1104,9 +1113,11 @@ pub(crate) mod tests {
         }
         tc.env.faults.set_drop_prob(0.0);
         assert_eq!(tc.client.segment_len(seg), 20 * 128);
-        let c = tc.client.recovery_counters();
-        assert!(c.retries() >= 1, "20% drop rate must force retries: {c:?}");
-        assert!(c.backoff() > VTime::ZERO);
+        assert!(
+            count(&tc, "retries") >= 1,
+            "20% drop rate must force retries"
+        );
+        assert!(count(&tc, "retry_backoff_ns") > 0);
         // Every byte of every acked append is readable.
         let all = tc.client.read(&mut ctx, seg, 0, 20 * 128).unwrap();
         for i in 0..20usize {
@@ -1156,7 +1167,7 @@ pub(crate) mod tests {
         let route = tc.client.cached_route(seg.id).unwrap();
         tc.env.faults.crash(route.replicas[0].node);
         assert_eq!(tc.client.read(&mut ctx, seg, 0, 10).unwrap(), b"replicated");
-        assert!(tc.client.recovery_counters().read_failovers() >= 1);
+        assert!(count(&tc, "read_failovers") >= 1);
     }
 
     #[test]
@@ -1178,13 +1189,13 @@ pub(crate) mod tests {
         for loc in &route.replicas {
             tc.env.faults.partition(loc.node);
         }
-        let before = tc.client.recovery_counters().retries();
+        let before = count(&tc, "retries");
         let err = tc.client.read(&mut ctx, seg, 0, 15).unwrap_err();
         assert!(
             err.is_retryable(),
             "a fully-partitioned read surfaces as transient: {err}"
         );
-        let spent = tc.client.recovery_counters().retries() - before;
+        let spent = count(&tc, "retries") - before;
         assert_eq!(
             spent as u32,
             tc.client.retry_policy().max_retries,
@@ -1349,7 +1360,7 @@ pub(crate) mod tests {
             epoch_before,
             "no re-acquire, same epoch"
         );
-        assert!(tc.client.recovery_counters().lease_renewals() >= 1);
+        assert!(count(&tc, "lease_renewals") >= 1);
         tc.client
             .append_with(&mut ctx, seg, b"renewed", AppendOpts::new())
             .unwrap();

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{Counter, FaultPlan, MetricsRegistry, RecoveryCounters, SimCtx, VTime};
+use vedb_sim::{Counter, FaultPlan, MetricsRegistry, SimCtx, VTime};
 
 use crate::layout::SegmentClass;
 use crate::server::AStoreServer;
@@ -67,8 +67,8 @@ struct CmState {
     next_epoch: u64,
 }
 
-/// Control-plane metric handles (component `"astore"`), re-resolved whenever
-/// a deployment registry is attached.
+/// Control-plane metric handles (component `"astore"`) in the deployment
+/// registry.
 struct CmMetrics {
     registry: Arc<MetricsRegistry>,
     lease_acquires: Arc<Counter>,
@@ -99,18 +99,21 @@ pub struct ClusterManager {
     lease_ttl: VTime,
     heartbeat_timeout: VTime,
     state: Mutex<CmState>,
-    /// Optional recovery telemetry sink (shared with the client SDK).
-    counters: Mutex<Option<Arc<RecoveryCounters>>>,
-    /// Deployment metric registry; detached until the assembler attaches the
-    /// cluster-wide one (mirrors `attach_recovery_counters`).
-    metrics: Mutex<CmMetrics>,
+    metrics: CmMetrics,
 }
 
 impl ClusterManager {
     /// Create a CM. `lease_ttl` bounds how long a silent client keeps
     /// ownership; `heartbeat_timeout` is how long a silent server is
-    /// trusted.
-    pub fn new(faults: Arc<FaultPlan>, lease_ttl: VTime, heartbeat_timeout: VTime) -> Arc<Self> {
+    /// trusted. Control-plane counters (`astore.lease_*`, `astore.cm_*`)
+    /// go to `metrics`, and clients connecting through this CM publish
+    /// their data-path and recovery metrics there too.
+    pub fn new(
+        faults: Arc<FaultPlan>,
+        lease_ttl: VTime,
+        heartbeat_timeout: VTime,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Arc<Self> {
         Arc::new(ClusterManager {
             faults,
             lease_ttl,
@@ -122,29 +125,13 @@ impl ClusterManager {
                 leases: HashMap::new(),
                 next_epoch: 1,
             }),
-            counters: Mutex::new(None),
-            metrics: Mutex::new(CmMetrics::register(MetricsRegistry::detached())),
+            metrics: CmMetrics::register(metrics),
         })
-    }
-
-    /// Attach a [`RecoveryCounters`] sink: repair actions (re-replication)
-    /// are counted there so tests and operators can observe failover
-    /// activity alongside the client SDK's retry counters.
-    pub fn attach_recovery_counters(&self, counters: Arc<RecoveryCounters>) {
-        *self.counters.lock() = Some(counters);
-    }
-
-    /// Attach the deployment-wide [`MetricsRegistry`]. Control-plane
-    /// counters (`astore.lease_*`, `astore.cm_*`) are re-registered there,
-    /// and clients connecting through this CM inherit the registry for their
-    /// data-path metrics — so component constructors keep their signatures.
-    pub fn attach_metrics(&self, registry: Arc<MetricsRegistry>) {
-        *self.metrics.lock() = CmMetrics::register(registry);
     }
 
     /// The registry this CM (and clients connected through it) publish into.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics.lock().registry)
+        Arc::clone(&self.metrics.registry)
     }
 
     /// Register a storage node.
@@ -187,7 +174,7 @@ impl ClusterManager {
     /// for the same client is superseded.
     pub fn acquire_lease(&self, ctx: &mut SimCtx, client_id: u64) -> Lease {
         ctx.advance(CM_PROC);
-        self.metrics.lock().lease_acquires.inc();
+        self.metrics.lease_acquires.inc();
         let mut st = self.state.lock();
         let epoch = st.next_epoch;
         st.next_epoch += 1;
@@ -207,7 +194,7 @@ impl ClusterManager {
     /// client's own in-flight operations).
     pub fn renew_lease(&self, ctx: &mut SimCtx, lease: Lease) -> Result<()> {
         ctx.advance(CM_PROC);
-        self.metrics.lock().lease_renewals.inc();
+        self.metrics.lease_renewals.inc();
         let mut st = self.state.lock();
         match st.leases.get(&lease.client_id) {
             Some((epoch, _)) if *epoch != lease.epoch => {
@@ -265,7 +252,7 @@ impl ClusterManager {
         replication: usize,
     ) -> Result<(SegmentId, Route)> {
         ctx.advance(CM_PROC);
-        self.metrics.lock().segment_creates.inc();
+        self.metrics.segment_creates.inc();
         let (seg, targets) = {
             let mut st = self.state.lock();
             self.validate_locked(&st, lease, ctx.now())?;
@@ -323,7 +310,7 @@ impl ClusterManager {
     /// clean the slots up (delayed on the server side, §IV-C).
     pub fn delete_segment(&self, ctx: &mut SimCtx, lease: Lease, seg: SegmentId) -> Result<()> {
         ctx.advance(CM_PROC);
-        self.metrics.lock().segment_deletes.inc();
+        self.metrics.segment_deletes.inc();
         let route = {
             let mut st = self.state.lock();
             self.validate_locked(&st, lease, ctx.now())?;
@@ -359,7 +346,7 @@ impl ClusterManager {
     /// route any more (deleted, or lost with every replica).
     pub fn get_routes(&self, ctx: &mut SimCtx, segs: &[SegmentId]) -> Vec<Option<Route>> {
         ctx.advance(CM_PROC);
-        self.metrics.lock().route_lookups.inc();
+        self.metrics.route_lookups.inc();
         let st = self.state.lock();
         segs.iter().map(|seg| st.routes.get(seg).cloned()).collect()
     }
@@ -535,10 +522,7 @@ impl ClusterManager {
                         n.free_slots = n.free_slots.saturating_sub(1);
                     }
                     drop(st);
-                    if let Some(c) = self.counters.lock().as_ref() {
-                        c.note_replica_repaired();
-                    }
-                    self.metrics.lock().repairs.inc();
+                    self.metrics.repairs.inc();
                 }
             }
         }
@@ -596,6 +580,7 @@ mod tests {
             Arc::clone(&env.faults),
             VTime::from_secs(10),
             VTime::from_secs(1),
+            Arc::clone(&env.metrics),
         );
         let servers: Vec<Arc<AStoreServer>> = env
             .astore_nodes

@@ -11,8 +11,8 @@
 //!   survivor — the retry layer absorbs crashes by reporting the dead node
 //!   to the CM and re-resolving the shrunk/repaired route.
 //! * **Bounded retries** — the capped-backoff policy never spins; retry
-//!   counts stay within `max_retries` per operation and are visible through
-//!   `vedb_sim::metrics::RecoveryCounters`.
+//!   counts stay within `max_retries` per operation and are visible as
+//!   `astore.*` counters in the deployment registry.
 
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ use vedb_astore::layout::SegmentClass;
 use vedb_astore::{AStoreServer, AppendOpts, RetryPolicy, SegmentOpts, SegmentRing};
 use vedb_rdma::RdmaEndpoint;
 use vedb_sim::fault::NodeId;
-use vedb_sim::{ClusterSpec, SimCtx, SimEnv, VTime};
+use vedb_sim::{ClusterSpec, RunReport, SimCtx, SimEnv, VTime};
 
 struct Cluster {
     env: Arc<SimEnv>,
@@ -31,8 +31,17 @@ struct Cluster {
 }
 
 fn cluster(lease_ttl: VTime) -> Cluster {
-    let env = ClusterSpec::paper_default().build();
-    let cm = ClusterManager::new(Arc::clone(&env.faults), lease_ttl, VTime::from_secs(1));
+    cluster_of(ClusterSpec::paper_default(), lease_ttl)
+}
+
+fn cluster_of(spec: ClusterSpec, lease_ttl: VTime) -> Cluster {
+    let env = spec.build();
+    let cm = ClusterManager::new(
+        Arc::clone(&env.faults),
+        lease_ttl,
+        VTime::from_secs(1),
+        Arc::clone(&env.metrics),
+    );
     let servers: Vec<Arc<AStoreServer>> = env
         .astore_nodes
         .iter()
@@ -54,6 +63,11 @@ fn cluster(lease_ttl: VTime) -> Cluster {
         cm.heartbeat(VTime::ZERO, s.node(), s.free_slots());
     }
     Cluster { env, cm, servers }
+}
+
+/// Current value of the `astore.<name>` counter in the cluster's registry.
+fn count(c: &Cluster, name: &'static str) -> u64 {
+    c.env.metrics.counter("astore", name).get()
 }
 
 fn connect(c: &Cluster, ctx: &mut SimCtx, id: u64, policy: RetryPolicy) -> Arc<AStoreClient> {
@@ -133,20 +147,17 @@ fn crash_one_replica_with_drops_loses_nothing() {
     assert!(!client.is_frozen(seg));
 
     // Recovery telemetry: retries happened, are bounded, and are visible.
-    let counters = client.recovery_counters();
+    let retries = count(&c, "retries");
+    assert!(retries >= 1, "crash + 1% drops must force retries");
     assert!(
-        counters.retries() >= 1,
-        "crash + 1% drops must force retries: {counters:?}"
+        retries <= (n as u64) * RetryPolicy::default().max_retries as u64,
+        "retry counts must stay within the policy budget: {retries}"
     );
     assert!(
-        counters.retries() <= (n as u64) * RetryPolicy::default().max_retries as u64,
-        "retry counts must stay within the policy budget: {counters:?}"
-    );
-    assert!(
-        counters.route_refreshes() >= 1,
+        count(&c, "route_refreshes") >= 1,
         "crash must force a route re-resolution"
     );
-    assert!(counters.backoff() > VTime::ZERO);
+    assert!(count(&c, "retry_backoff_ns") > 0);
 }
 
 /// Replica crash while a SegmentRing (the WAL's container) is mid-stream:
@@ -179,7 +190,7 @@ fn ring_traffic_rides_through_replica_crash() {
         bytes, expected,
         "REDO stream must be intact after the crash"
     );
-    assert!(client.recovery_counters().retries() >= 1);
+    assert!(count(&c, "retries") >= 1);
 }
 
 /// ISSUE 8 group-commit scenario: the segment leader (first replica of
@@ -237,7 +248,7 @@ fn leader_crash_mid_group_flush_keeps_every_acked_batch() {
         bytes, expected,
         "every acked batch must survive the leader crash, in submission order"
     );
-    assert!(client.recovery_counters().retries() >= 1);
+    assert!(count(&c, "retries") >= 1);
 }
 
 /// Sustained 1% message loss over a long append+read workload: every
@@ -266,13 +277,10 @@ fn one_percent_drops_bounded_retries() {
         assert_eq!(got, record(i));
     }
     c.env.faults.set_drop_prob_at(ctx.now(), 0.0);
-    let counters = client.recovery_counters();
     // ~1% of ~900 one-sided messages + ~300 reads → a handful of retries;
     // 10× the expectation still catches a retry storm.
-    assert!(
-        counters.retries() <= 120,
-        "retry storm under 1% drops: {counters:?}"
-    );
+    let retries = count(&c, "retries");
+    assert!(retries <= 120, "retry storm under 1% drops: {retries}");
 }
 
 /// A partitioned replica (alive but unreachable) serves no reads; the read
@@ -297,7 +305,7 @@ fn reads_survive_partition_of_primary_replica() {
         let got = client.read(&mut ctx, seg, off, data.len()).unwrap();
         assert_eq!(got, data);
     }
-    assert!(client.recovery_counters().read_failovers() >= 10);
+    assert!(count(&c, "read_failovers") >= 10);
     c.env.faults.heal_at(ctx.now(), route.replicas[0].node);
     // Timestamped injections land in the deployment trace, so the chaos
     // window is reconstructable from the exported report.
@@ -345,7 +353,7 @@ fn lease_expiry_mid_traffic_renews_same_epoch() {
         epoch,
         "renewal must never mint a new epoch"
     );
-    assert!(client.recovery_counters().lease_renewals() >= 4);
+    assert!(count(&c, "lease_renewals") >= 4);
 }
 
 /// Fencing regression: the retry layer renews leases but must never let a
@@ -451,7 +459,6 @@ fn repair_copies_io_meta_so_recovery_sees_full_length() {
 #[test]
 fn fault_free_rdma_counts_match_ground_truth() {
     let c = cluster(VTime::from_secs(3600));
-    c.cm.attach_metrics(Arc::clone(&c.env.metrics));
     let mut ctx = SimCtx::new(9, 0xFEED);
     let ep = RdmaEndpoint::with_metrics(
         c.env.model.clone(),
@@ -525,11 +532,71 @@ fn fault_free_rdma_counts_match_ground_truth() {
 
     // Nothing was dropped and the recovery layer never engaged.
     assert_eq!(drops.get(), 0, "fault-free run must not drop");
-    assert_eq!(client.recovery_counters().retries(), 0);
-    assert_eq!(client.recovery_counters().read_failovers(), 0);
+    for name in [
+        "retries",
+        "retry_backoff_ns",
+        "read_failovers",
+        "route_refreshes",
+        "segments_replaced",
+    ] {
+        assert_eq!(count(&c, name), 0, "astore.{name}");
+    }
 
     // The per-op latency histograms saw exactly the ops that ran.
     assert_eq!(c.env.metrics.latency("astore", "append").count(), n);
     assert_eq!(c.env.metrics.latency("astore", "read").count(), n);
     assert_eq!(c.env.metrics.latency("rdma", "write_chain").count() % n, 0);
+}
+
+/// Recovery telemetry lands in the deployment registry, whichever client
+/// triggered it. Client A writes to a 3-way segment on a 4-node cluster;
+/// client B connects afterwards; one of A's replicas crashes. A's next
+/// append reports the dead node, the CM re-replicates onto the spare node,
+/// and A retries on the refreshed route. The repair, the retry and the
+/// route refresh all show in a report of the registry.
+#[test]
+fn repair_triggered_by_one_client_is_counted_in_the_registry() {
+    let spec = ClusterSpec {
+        astore_servers: 4,
+        ..ClusterSpec::paper_default()
+    };
+    let c = cluster_of(spec, VTime::from_secs(3600));
+    let mut ctx = SimCtx::new(1, 0x4EB0);
+    let a = connect(&c, &mut ctx, 1, RetryPolicy::default());
+    let seg = a
+        .create_segment_with(&mut ctx, SegmentOpts::new(SegmentClass::Log))
+        .unwrap();
+    let mut committed = Vec::new();
+    for i in 0..20 {
+        let data = record(i);
+        let off = a
+            .append_with(&mut ctx, seg, &data, AppendOpts::new())
+            .unwrap();
+        committed.push((off, data));
+    }
+    let _b = connect(&c, &mut ctx, 2, RetryPolicy::default());
+
+    let route = a.cached_route(seg.id).unwrap();
+    c.env.faults.crash_at(ctx.now(), route.replicas[0].node);
+    for i in 20..40 {
+        let data = record(i);
+        let off = a
+            .append_with(&mut ctx, seg, &data, AppendOpts::new())
+            .unwrap_or_else(|e| panic!("append {i} must not surface an error, got {e}"));
+        committed.push((off, data));
+    }
+    for (off, data) in &committed {
+        let got = a.read(&mut ctx, seg, *off, data.len()).unwrap();
+        assert_eq!(&got, data, "committed write at offset {off} lost");
+    }
+    assert_eq!(
+        a.cached_route(seg.id).unwrap().replicas.len(),
+        3,
+        "re-replicated onto the spare node"
+    );
+
+    assert_eq!(count(&c, "cm_repairs"), 1);
+    let report = RunReport::collect("chaos_repair", None, &c.env.metrics);
+    assert!(report.counters["astore.retries"] >= 1);
+    assert!(report.counters["astore.route_refreshes"] >= 1);
 }

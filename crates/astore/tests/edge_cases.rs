@@ -24,6 +24,7 @@ fn cluster(cleanup_delay: VTime) -> Cluster {
         Arc::clone(&env.faults),
         VTime::from_secs(600),
         VTime::from_secs(30),
+        Arc::clone(&env.metrics),
     );
     let servers: Vec<Arc<AStoreServer>> = env
         .astore_nodes

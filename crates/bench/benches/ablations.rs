@@ -8,6 +8,7 @@
 //!
 //! Each ablation prints a small table of virtual-time costs.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use vedb_astore::layout::SegmentClass;
@@ -15,7 +16,7 @@ use vedb_astore::{AppendOpts, SegmentOpts};
 use vedb_bench::print_table;
 use vedb_blobstore::{BlobGroup, BlobGroupConfig};
 use vedb_core::db::StorageFabric;
-use vedb_core::ebp::{Ebp, EbpConfig, EbpPolicy};
+use vedb_core::ebp::{Ebp, EbpConfig};
 use vedb_pagestore::page::{Page, PageType};
 use vedb_sim::{ClusterSpec, SimCtx, VTime};
 
@@ -164,16 +165,19 @@ fn ablate_ring_vs_bloggroup(f: &StorageFabric) {
 fn ablate_ebp_policy(f: &StorageFabric) {
     let mut rows = Vec::new();
     let mut survival = Vec::new();
-    for (name, policy) in [("flat", EbpPolicy::Flat), ("priority", EbpPolicy::Priority)] {
+    // Space 7 = the push-down table; the flat arm ranks every space alike.
+    for (name, client_id, space_priority) in [
+        ("flat", 920, HashMap::new()),
+        ("priority", 921, HashMap::from([(7, 10)])),
+    ] {
         let mut ctx = SimCtx::new(3, 3);
-        let client = astore_client(f, &mut ctx, 920 + (policy == EbpPolicy::Priority) as u64);
-        let mut cfg = EbpConfig {
+        let client = astore_client(f, &mut ctx, client_id);
+        let cfg = EbpConfig {
             capacity_bytes: 64 * 16 * 1024, // 64 pages
-            policy,
             shards: 1,
+            space_priority,
             ..Default::default()
         };
-        cfg.space_priority.insert(7, 10); // space 7 = the push-down table
         let ebp = Ebp::new(client, cfg);
         let mut page = Page::new();
         page.format(PageType::BTreeLeaf, 0);

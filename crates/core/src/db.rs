@@ -244,8 +244,8 @@ impl StorageFabric {
             Arc::clone(&env.faults),
             VTime::from_secs(3600),
             VTime::from_secs(60),
+            Arc::clone(&env.metrics),
         );
-        cm.attach_metrics(Arc::clone(&env.metrics));
         let astore_servers: Vec<Arc<AStoreServer>> = env
             .astore_nodes
             .iter()
@@ -1030,7 +1030,7 @@ impl Db {
         // concurrently and raced to `ship()`, the later-LSN batch could
         // reach the PageStore facade first; replicas would then drop the
         // earlier batch as a back-link duplicate and serve stale page
-        // images (the `slot out of range` flake, ROADMAP item 6).
+        // images (the `slot out of range` flake, ROADMAP item 1).
         let _order = self.ship_order.lock();
         let records: Vec<RedoRecord> = {
             let mut buf = self.ship_buf.lock();

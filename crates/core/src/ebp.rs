@@ -11,10 +11,11 @@
 //! garbage ratio crosses a threshold are **compacted**: live records move
 //! to the active segment and the old segment is released.
 //!
-//! Capacity policies (§V-C): `Flat` — one LRU space for everyone;
-//! `Priority` — spaces carry priorities, and a page may only evict pages of
-//! its own priority or lower, so hot push-down tables can be pinned by
-//! giving their space a high priority (§VI-B).
+//! Capacity policy (§V-C): spaces carry priorities
+//! (`EbpConfig::space_priority`), and a page may only evict pages of its
+//! own priority or lower, so hot push-down tables can be pinned by giving
+//! their space a high priority (§VI-B). With no priorities set, every page
+//! competes in one flat LRU space.
 //!
 //! Recovery (§V-E): the engine periodically ships `(page, latest LSN)`
 //! batches to the AStore servers; after a DBEngine crash the servers scan
@@ -45,28 +46,18 @@ const SERVER_RPC: VTime = VTime::from_micros(120);
 /// servers.
 const LSN_BATCH_SIZE: usize = 64;
 
-/// EBP capacity management policy (§V-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EbpPolicy {
-    /// No partitioning: all pages compete in one LRU space.
-    Flat,
-    /// Spaces carry priorities; a page can only displace pages of equal or
-    /// lower priority.
-    Priority,
-}
-
 /// EBP configuration.
 #[derive(Clone)]
 pub struct EbpConfig {
     /// Total live-page capacity in bytes.
     pub capacity_bytes: u64,
-    /// Capacity policy.
-    pub policy: EbpPolicy,
     /// Index/LRU shards.
     pub shards: usize,
     /// Garbage ratio above which a frozen segment is compacted.
     pub compaction_garbage_ratio: f64,
-    /// Per-space priority (Priority policy; default 0).
+    /// Per-space priority (§V-C capacity policy; unlisted spaces are 0). A
+    /// page can only displace pages of equal or lower priority, so an empty
+    /// map is one flat LRU space.
     pub space_priority: HashMap<u32, u8>,
 }
 
@@ -74,7 +65,6 @@ impl Default for EbpConfig {
     fn default() -> Self {
         EbpConfig {
             capacity_bytes: 64 << 20,
-            policy: EbpPolicy::Flat,
             shards: 8,
             compaction_garbage_ratio: 0.5,
             space_priority: HashMap::new(),
@@ -204,10 +194,7 @@ impl Ebp {
     }
 
     fn prio_of(&self, pid: PageId) -> u8 {
-        match self.cfg.policy {
-            EbpPolicy::Flat => 0,
-            EbpPolicy::Priority => *self.cfg.space_priority.get(&pid.space_no).unwrap_or(&0),
-        }
+        *self.cfg.space_priority.get(&pid.space_no).unwrap_or(&0)
     }
 
     /// EBP hits so far.
@@ -292,7 +279,7 @@ impl Ebp {
 
     /// Cache a page image. Applies the admission/eviction policy; may
     /// trigger segment roll-over and compaction. A page that cannot be
-    /// admitted (Priority policy, nothing evictable) is silently skipped —
+    /// admitted (every resident page outranks it) is silently skipped —
     /// the EBP is a cache, not a store.
     pub fn write_page(&self, ctx: &mut SimCtx, pid: PageId, page: &Page, lsn: Lsn) -> Result<()> {
         // Eviction of an unmodified page whose image the cache already holds
@@ -347,7 +334,7 @@ impl Ebp {
                         freed_enough = shard_bytes(&shard) + bytes.len() as u64 <= shard_cap;
                     }
                     None => {
-                        // Priority policy: nothing evictable — skip caching.
+                        // Every resident page outranks this one: skip caching.
                         return Ok(());
                     }
                 }
@@ -690,6 +677,7 @@ mod tests {
             Arc::clone(&env.faults),
             VTime::from_secs(3600),
             VTime::from_secs(60),
+            Arc::clone(&env.metrics),
         );
         for (i, n) in env.astore_nodes.iter().enumerate() {
             let s = vedb_astore::AStoreServer::new(
@@ -800,7 +788,6 @@ mod tests {
         let mut ctx = SimCtx::new(1, 7);
         let (_env, client) = harness(&mut ctx, 1024);
         let mut cfg = small_cfg();
-        cfg.policy = EbpPolicy::Priority;
         cfg.space_priority.insert(7, 10); // space 7 is precious
         let ebp = Ebp::new(client, cfg);
         // Fill with high-priority pages.

@@ -697,7 +697,7 @@ impl PageStoreServer {
     /// of records replayed; the caller's virtual-time delta across this
     /// call is the node's recovery time.
     pub fn restart(&self, ctx: &mut SimCtx) -> Result<usize> {
-        self.restore_all(ctx, Lsn::MAX)
+        self.restore_to_lsn(ctx, Lsn::MAX)
     }
 
     /// Point-in-time restore of this server: rebuild every segment from
@@ -707,10 +707,6 @@ impl PageStoreServer {
     /// to `target` (truncated below the restore point), the segment is
     /// left untouched and [`PageStoreError::NotYetApplied`] is returned.
     pub fn restore_to_lsn(&self, ctx: &mut SimCtx, target: Lsn) -> Result<usize> {
-        self.restore_all(ctx, target)
-    }
-
-    fn restore_all(&self, ctx: &mut SimCtx, target: Lsn) -> Result<usize> {
         let mut keys: Vec<PsSegmentKey> = self.segs.lock().keys().copied().collect();
         keys.sort_unstable();
         let sp = self.stats.trace.span(ctx, "pagestore", "restore");
